@@ -126,18 +126,19 @@ class CartPoleSwingUp:
 
 
 class BatchedSwingUp:
-    """N independent environment instances advanced in lockstep.
+    """The running instances of a batch of n episodes, advanced in lockstep.
 
-    Finished instances freeze their state and emit zero reward; callers can
-    stop looping once ``all_done`` is true.
+    ``reset`` starts all n instances. ``step`` advances every instance held
+    and flags in ``done`` those whose episode ended with that step; ``keep``
+    then drops them, so stepping never spends work on an ended episode.
     """
 
     def __init__(self, params: SwingUpParams, n: int):
         self.params = params
         self.n = n
-        self.state = np.zeros((4, n))
+        self.state = np.zeros((4, 0))
         self.t = 0
-        self.done = np.ones(n, dtype=bool)
+        self.done = np.zeros(0, dtype=bool)
 
     def reset(self, seeds):
         if len(seeds) != self.n:
@@ -152,29 +153,31 @@ class BatchedSwingUp:
         x, x_dot, theta, theta_dot = self.state
         return np.stack([x, x_dot, np.cos(theta), np.sin(theta), theta_dot], axis=1)
 
-    @property
-    def all_done(self):
-        return bool(self.done.all())
-
     def step(self, actions):
+        """Advance every held instance; returns (obs, reward, done) per instance."""
         if not np.all(np.isfinite(actions)):
             raise DomainError("actions must be finite")
         p = self.params
         force = np.clip(actions, -1.0, 1.0) * p.force_mag
         x, x_dot, theta, theta_dot = self.state
         x_acc, theta_acc = accelerations(p, self.state, force)
-        alive = ~self.done
-        x_dot = np.where(alive, x_dot + x_acc * p.dt, x_dot)
-        theta_dot = np.where(alive, theta_dot + theta_acc * p.dt, theta_dot)
-        x = np.where(alive, x + x_dot * p.dt, x)
-        theta = np.where(alive, theta + theta_dot * p.dt, theta)
+        x_dot = x_dot + x_acc * p.dt
+        theta_dot = theta_dot + theta_acc * p.dt
+        x = x + x_dot * p.dt
+        theta = theta + theta_dot * p.dt
         self.state = np.stack([x, x_dot, theta, theta_dot])
         self.t += 1
-        reward = np.where(alive, step_reward(p, x, theta), 0.0)
-        self.done |= np.abs(x) > p.x_threshold
+        reward = step_reward(p, x, theta)
         if self.t >= p.max_steps:
-            self.done[:] = True
-        return self._observe(), reward, self.done.copy()
+            self.done = np.ones(x.shape, dtype=bool)
+        else:
+            self.done = np.abs(x) > p.x_threshold
+        return self._observe(), reward, self.done
+
+    def keep(self, mask):
+        """Keep only the instances where ``mask`` is true, in order."""
+        self.state = self.state.compress(mask, axis=1)
+        self.done = self.done[mask]
 
 
 @dataclass

@@ -18,7 +18,12 @@ from .architecture import Architecture
 from .cartpole import BatchedSwingUp, SwingUpParams
 from .errors import ConfigError
 from .genome import decode
-from .neural_unit import NeuronMode, layer_step_recurrent, layer_step_simple
+from .neural_unit import (
+    NeuronMode,
+    layer_step_recurrent,
+    layer_step_simple,
+    parameter_major,
+)
 from .network import BatchedPolicy, sample_weights
 
 # Evaluation episode seeds live far away from training seeds (which count up
@@ -69,6 +74,27 @@ class OrderingDivergence:
         self.max_divergence = float(self.divergence.max()) if len(self.divergence) else 0.0
 
 
+def _episode_totals(net, env, seeds):
+    """Total reward of one episode per row, row i seeded by ``seeds[i]``.
+
+    Only running episodes are stepped: rows whose episode ended leave both
+    the policy and the env, and the loop stops when none is left.
+    """
+    net.reset_states()
+    obs = env.reset(seeds)
+    totals = np.zeros(len(seeds))
+    while net.rows.size:
+        actions = net.forward(obs)
+        obs, reward, done = env.step(actions[:, 0])
+        totals[net.rows] += reward
+        if done.any():
+            live = ~done
+            net.keep(live)
+            env.keep(live)
+            obs = obs[live]
+    return totals
+
+
 def _rollout_chunk(arch, env_params, genomes, episode_seeds, weights=None):
     """Mean episode score per candidate for one chunk of genomes."""
     genomes = np.atleast_2d(genomes)
@@ -77,14 +103,7 @@ def _rollout_chunk(arch, env_params, genomes, episode_seeds, weights=None):
     env = BatchedSwingUp(env_params, n)
     totals = np.zeros(n)
     for seed in episode_seeds:
-        net.reset_states()
-        obs = env.reset([seed] * n)
-        ep_total = np.zeros(n)
-        while not env.all_done:
-            actions = net.forward(obs)
-            obs, reward, _ = env.step(actions[:, 0])
-            ep_total += reward
-        totals += ep_total
+        totals += _episode_totals(net, env, [seed] * n)
     return totals / len(episode_seeds)
 
 
@@ -163,13 +182,7 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
         n = len(batch_seeds)
         net = BatchedPolicy(arch, np.tile(genome, (n, 1)))
         env = BatchedSwingUp(env_params, n)
-        obs = env.reset(batch_seeds)
-        ep_total = np.zeros(n)
-        while not env.all_done:
-            actions = net.forward(obs)
-            obs, reward, _ = env.step(actions[:, 0])
-            ep_total += reward
-        scores.extend(float(s) for s in ep_total)
+        scores.extend(float(s) for s in _episode_totals(net, env, batch_seeds))
     scores_arr = np.array(scores)
     return EvalReport(
         genome_id=genome_id,
@@ -187,7 +200,8 @@ def _sweep(params_layer, mode, inputs):
     Returns (outputs, states) arrays of shape (len(inputs), n); states is
     None for simple units. State starts at zero before the first input.
     """
-    n = params_layer.shape[0]
+    params_layer = parameter_major(params_layer, mode)
+    n = params_layer.shape[-1]
     steps = len(inputs)
     outputs = np.empty((steps, n))
     if mode is NeuronMode.SIMPLE:

@@ -18,6 +18,7 @@ from .neural_unit import (
     apply_output_kinds,
     layer_step_recurrent,
     layer_step_simple,
+    parameter_major,
 )
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -61,7 +62,7 @@ class RandomNetwork:
             raise ConfigError("neuron_mode: plain-tanh networks use FfnnPolicy")
         self.arch = arch
         self.weights = sample_weights(arch) if weights is None else weights
-        self.params = decode(genome, arch)
+        self.params = [parameter_major(p, arch.neuron_mode) for p in decode(genome, arch)]
         self.states = [np.zeros(n) for n in arch.layer_sizes]
         self._out_fn = None
         if not _all_tanh(arch.output_kinds):
@@ -146,10 +147,13 @@ def build_policy(arch: Architecture, genome, weights=None):
 
 
 class BatchedPolicy:
-    """Forward pass for B candidates at once.
+    """Forward pass for the live rows of a batch of B candidates.
 
     For unit modes the frozen weights are shared across the batch; for the
-    plain-tanh baseline each candidate carries its own weights.
+    plain-tanh baseline each candidate carries its own weights. ``keep``
+    drops rows whose episode has ended and ``reset_states`` brings all B
+    rows back, so ``forward`` only ever computes running episodes.
+    ``rows`` holds the batch index of each live row.
     """
 
     def __init__(self, arch: Architecture, genomes, weights=None):
@@ -167,7 +171,7 @@ class BatchedPolicy:
             self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
         if self.mode is NeuronMode.PLAIN_TANH:
             per_layer = [decode(g, arch) for g in genomes]
-            self.layers = [
+            self._all_layers = [
                 (
                     np.stack([cand[k][0] for cand in per_layer]),
                     np.stack([cand[k][1] for cand in per_layer]),
@@ -178,23 +182,51 @@ class BatchedPolicy:
             self.weights = sample_weights(arch) if weights is None else weights
             per = 6 if self.mode is NeuronMode.RECURRENT else 2
             shape = (2, 3) if self.mode is NeuronMode.RECURRENT else (2,)
-            self.params = []
+            self._all_params = []
             pos = 0
             for n in arch.layer_sizes:
-                block = genomes[:, pos : pos + n * per]
-                self.params.append(block.reshape((self.batch, n) + shape))
+                block = genomes[:, pos : pos + n * per].reshape((self.batch, n) + shape)
+                self._all_params.append(parameter_major(block, self.mode))
                 pos += n * per
-            self.states = [np.zeros((self.batch, n)) for n in arch.layer_sizes]
+            # Inputs of each weight product, scattered back to their rows.
+            self._product_in = [np.zeros((self.batch, n)) for n in arch.layer_sizes[:-1]]
+        self.reset_states()
 
     def reset_states(self):
-        if self.mode is not NeuronMode.PLAIN_TANH:
-            for h in self.states:
-                h.fill(0.0)
+        """Zero every neuron state and make all B rows live again."""
+        self.rows = np.arange(self.batch)
+        if self.mode is NeuronMode.PLAIN_TANH:
+            self.layers = self._all_layers
+        else:
+            self.params = self._all_params
+            self.states = [np.zeros((self.batch, n)) for n in self.arch.layer_sizes]
+
+    def keep(self, mask):
+        """Keep only the live rows where ``mask`` is true, in order."""
+        self.rows = self.rows[mask]
+        if self.mode is NeuronMode.PLAIN_TANH:
+            self.layers = [(w[mask], b[mask]) for w, b in self.layers]
+        else:
+            self.params = [p.compress(mask, axis=-2) for p in self.params]
+            self.states = [h[mask] for h in self.states]
+
+    def _weight_product(self, k, x):
+        """x @ W_k.T for the live rows, computed over all B rows.
+
+        BLAS results for a row are not bitwise stable as the row count
+        changes, so the live rows go back to their places in a (B, n)
+        buffer and every product runs at B rows.
+        """
+        w_t = self.weights[k].T
+        if self.rows.size == self.batch:
+            return x @ w_t
+        buf = self._product_in[k]
+        buf[self.rows] = x
+        return (buf @ w_t)[self.rows]
 
     def forward(self, obs):
-        """obs: (B, obs_dim) -> actions (B, action_dim)."""
-        obs = np.asarray(obs, dtype=np.float64)
-        x = obs
+        """obs: (live rows, obs_dim) -> actions (live rows, action_dim)."""
+        x = np.asarray(obs, dtype=np.float64)
         if self.mode is NeuronMode.PLAIN_TANH:
             last = len(self.layers) - 1
             for k, (w, b) in enumerate(self.layers):
@@ -204,11 +236,12 @@ class BatchedPolicy:
         last = self.arch.n_layers - 1
         recurrent = self.mode is NeuronMode.RECURRENT
         for k in range(self.arch.n_layers):
-            pre = x if k == 0 else x @ self.weights[k - 1].T
+            pre = x if k == 0 else self._weight_product(k - 1, x)
             out_fn = self._out_fn if k == last else None
             if recurrent:
-                x, h_new = layer_step_recurrent(self.params[k], pre, self.states[k], out_fn)
-                self.states[k][:] = h_new
+                x, self.states[k] = layer_step_recurrent(
+                    self.params[k], pre, self.states[k], out_fn
+                )
             else:
                 x = layer_step_simple(self.params[k], pre, out_fn)
         return x

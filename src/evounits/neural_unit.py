@@ -105,22 +105,35 @@ def output_nonlinearity(raw: float, kind: OutputKind) -> float:
     raise DomainError(f"unknown output nonlinearity {kind!r}")
 
 
+def parameter_major(values, mode: NeuronMode):
+    """Unit parameters with each coefficient as one contiguous plane.
+
+    Moves the per-unit coefficient axes to the front: (..., n, 2, 3) becomes
+    (2, 3, ..., n) for recurrent units and (..., n, 2) becomes (2, ..., n)
+    for simple ones, the layout the layer steps below expect.
+    """
+    k = 2 if mode is NeuronMode.RECURRENT else 1
+    nd = values.ndim
+    return np.ascontiguousarray(np.moveaxis(values, range(nd - k, nd), range(k)))
+
+
 def layer_step_recurrent(values, x, h, out_fn=None):
     """Vectorized recurrent step for a whole layer (or batch of layers).
 
-    values: (..., n, 2, 3), x and h: (..., n). Returns (out, h_new). When
-    ``out_fn`` is given it replaces tanh on the output row (used for
-    configured output nonlinearities).
+    values: (2, 3, ..., n), parameter-major (see :func:`parameter_major`);
+    x and h: (..., n). Returns (out, h_new). When ``out_fn`` is given it
+    replaces tanh on the output row (used for configured output
+    nonlinearities).
     """
-    z_out = values[..., 0, 0] * x + values[..., 0, 1] * h + values[..., 0, 2]
-    z_state = values[..., 1, 0] * x + values[..., 1, 1] * h + values[..., 1, 2]
+    z_out = values[0, 0] * x + values[0, 1] * h + values[0, 2]
+    z_state = values[1, 0] * x + values[1, 1] * h + values[1, 2]
     out = np.tanh(z_out) if out_fn is None else out_fn(z_out)
     return out, np.tanh(z_state)
 
 
 def layer_step_simple(values, x, out_fn=None):
-    """Vectorized simple step: values (..., n, 2) holds [scale, bias] rows."""
-    z = values[..., 0] * x + values[..., 1]
+    """Vectorized simple step: values (2, ..., n) holds the [scale, bias] planes."""
+    z = values[0] * x + values[1]
     return np.tanh(z) if out_fn is None else out_fn(z)
 
 

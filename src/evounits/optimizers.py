@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DomainError
 
@@ -181,6 +180,12 @@ class CmaEs:
         self._eig_stale_gens += 1
 
 
+def average_ranks(values):
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 class OpenEs:
     """Evolution strategy with mirrored Gaussian perturbations and
     centered-rank fitness shaping; plain gradient ascent on the center.
@@ -219,7 +224,7 @@ class OpenEs:
             self.best_fitness = float(f[i_best])
             self.best = self.center + self.sigma * eps[i_best]
         # Average ranks on ties so a flat landscape yields a zero update.
-        shaped = (rankdata(f, method="average") - 1) / (self.popsize - 1) - 0.5
+        shaped = (average_ranks(f) - 1) / (self.popsize - 1) - 0.5
         grad = shaped @ eps
         self.center = self.center + self.lr / (self.popsize * self.sigma) * grad
         self.generation += 1
@@ -378,10 +383,6 @@ class PipelineRunner:
             champion_eval_std=self.champion_eval_std,
             history=self.history,
         )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        return state
 
 
 def run_pipeline(cfg: PipelineConfig, dim, x0, eval_population, periodic_eval=None,

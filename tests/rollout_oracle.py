@@ -1,0 +1,177 @@
+"""Full-batch rollout oracle: every candidate is stepped until the whole
+batch has ended, with unit parameters in the per-unit (B, n, 2, 3) layout.
+
+This is the rollout as it stood before live-row compaction. Ended episodes
+freeze their state and earn zero reward while the rest of the batch runs
+on, so every weight product and unit step covers all B rows. The golden
+tests compare the production rollout with it bitwise.
+"""
+
+import numpy as np
+
+from evounits.architecture import count_parameters
+from evounits.cartpole import accelerations, initial_state, step_reward
+from evounits.genome import decode
+from evounits.network import sample_weights
+from evounits.neural_unit import NeuronMode, OutputKind, apply_output_kinds
+
+
+def unit_step_recurrent(values, x, h, out_fn=None):
+    """values: (..., n, 2, 3) per-unit matrices."""
+    z_out = values[..., 0, 0] * x + values[..., 0, 1] * h + values[..., 0, 2]
+    z_state = values[..., 1, 0] * x + values[..., 1, 1] * h + values[..., 1, 2]
+    out = np.tanh(z_out) if out_fn is None else out_fn(z_out)
+    return out, np.tanh(z_state)
+
+
+def unit_step_simple(values, x, out_fn=None):
+    """values: (..., n, 2) per-unit [scale, bias] rows."""
+    z = values[..., 0] * x + values[..., 1]
+    return np.tanh(z) if out_fn is None else out_fn(z)
+
+
+class FreezingSwingUp:
+    """N instances in lockstep; ended instances freeze and earn zero reward."""
+
+    def __init__(self, params, n):
+        self.params = params
+        self.n = n
+        self.state = np.zeros((4, n))
+        self.t = 0
+        self.done = np.ones(n, dtype=bool)
+
+    def reset(self, seeds):
+        self.state = np.stack([initial_state(self.params, s) for s in seeds], axis=1)
+        self.t = 0
+        self.done = np.zeros(self.n, dtype=bool)
+        return self._observe()
+
+    def _observe(self):
+        x, x_dot, theta, theta_dot = self.state
+        return np.stack([x, x_dot, np.cos(theta), np.sin(theta), theta_dot], axis=1)
+
+    @property
+    def all_done(self):
+        return bool(self.done.all())
+
+    def step(self, actions):
+        p = self.params
+        force = np.clip(actions, -1.0, 1.0) * p.force_mag
+        x, x_dot, theta, theta_dot = self.state
+        x_acc, theta_acc = accelerations(p, self.state, force)
+        alive = ~self.done
+        x_dot = np.where(alive, x_dot + x_acc * p.dt, x_dot)
+        theta_dot = np.where(alive, theta_dot + theta_acc * p.dt, theta_dot)
+        x = np.where(alive, x + x_dot * p.dt, x)
+        theta = np.where(alive, theta + theta_dot * p.dt, theta)
+        self.state = np.stack([x, x_dot, theta, theta_dot])
+        self.t += 1
+        reward = np.where(alive, step_reward(p, x, theta), 0.0)
+        self.done |= np.abs(x) > p.x_threshold
+        if self.t >= p.max_steps:
+            self.done[:] = True
+        return self._observe(), reward, self.done.copy()
+
+
+class FullBatchPolicy:
+    """Forward pass over all B rows, unit parameters as (B, n, 2, 3)."""
+
+    def __init__(self, arch, genomes):
+        self.arch = arch
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+        assert genomes.shape[1] == count_parameters(arch)
+        self.batch = genomes.shape[0]
+        self.mode = arch.neuron_mode
+        self._out_fn = None
+        if any(k is not OutputKind.TANH for k in arch.output_kinds):
+            self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
+        if self.mode is NeuronMode.PLAIN_TANH:
+            per_layer = [decode(g, arch) for g in genomes]
+            self.layers = [
+                (np.stack([c[k][0] for c in per_layer]), np.stack([c[k][1] for c in per_layer]))
+                for k in range(arch.n_layers - 1)
+            ]
+            return
+        self.weights = sample_weights(arch)
+        per = 6 if self.mode is NeuronMode.RECURRENT else 2
+        shape = (2, 3) if self.mode is NeuronMode.RECURRENT else (2,)
+        self.params = []
+        pos = 0
+        for n in arch.layer_sizes:
+            block = genomes[:, pos : pos + n * per]
+            self.params.append(block.reshape((self.batch, n) + shape))
+            pos += n * per
+        self.states = [np.zeros((self.batch, n)) for n in arch.layer_sizes]
+
+    def reset_states(self):
+        if self.mode is not NeuronMode.PLAIN_TANH:
+            for h in self.states:
+                h.fill(0.0)
+
+    def forward(self, obs):
+        x = np.asarray(obs, dtype=np.float64)
+        if self.mode is NeuronMode.PLAIN_TANH:
+            last = len(self.layers) - 1
+            for k, (w, b) in enumerate(self.layers):
+                z = np.einsum("boi,bi->bo", w, x) + b
+                x = self._out_fn(z) if (k == last and self._out_fn) else np.tanh(z)
+            return x
+        last = self.arch.n_layers - 1
+        recurrent = self.mode is NeuronMode.RECURRENT
+        for k in range(self.arch.n_layers):
+            pre = x if k == 0 else x @ self.weights[k - 1].T
+            out_fn = self._out_fn if k == last else None
+            if recurrent:
+                x, h_new = unit_step_recurrent(self.params[k], pre, self.states[k], out_fn)
+                self.states[k][:] = h_new
+            else:
+                x = unit_step_simple(self.params[k], pre, out_fn)
+        return x
+
+
+def episode_totals(net, env, seeds):
+    """Per-row episode reward and the step at which each row's episode ended."""
+    net.reset_states()
+    obs = env.reset(seeds)
+    totals = np.zeros(len(seeds))
+    lengths = np.zeros(len(seeds), dtype=int)
+    while not env.all_done:
+        alive = ~env.done
+        actions = net.forward(obs)
+        obs, reward, _ = env.step(actions[:, 0])
+        totals += reward
+        lengths += alive
+    return totals, lengths
+
+
+def population_fitness(arch, env_params, genomes, episode_seeds, chunk_size):
+    """Mean score per candidate, in chunks of ``chunk_size``; also returns the
+    episode lengths per chunk (one array per chunk and seed)."""
+    genomes = np.atleast_2d(genomes)
+    fitness, lengths = [], []
+    for i in range(0, genomes.shape[0], chunk_size):
+        chunk = genomes[i : i + chunk_size]
+        n = chunk.shape[0]
+        net = FullBatchPolicy(arch, chunk)
+        env = FreezingSwingUp(env_params, n)
+        totals = np.zeros(n)
+        for seed in episode_seeds:
+            ep_total, ep_len = episode_totals(net, env, [seed] * n)
+            totals += ep_total
+            lengths.append(ep_len)
+        fitness.append(totals / len(episode_seeds))
+    return np.concatenate(fitness), lengths
+
+
+def evaluation_scores(genome, arch, env_params, n_episodes, base_seed, chunk_size):
+    """Per-episode scores of one genome over seeds base_seed .. base_seed+n-1."""
+    seeds = [base_seed + k for k in range(n_episodes)]
+    scores, lengths = [], []
+    for i in range(0, n_episodes, chunk_size):
+        batch_seeds = seeds[i : i + chunk_size]
+        n = len(batch_seeds)
+        net = FullBatchPolicy(arch, np.tile(genome, (n, 1)))
+        totals, ep_len = episode_totals(net, FreezingSwingUp(env_params, n), batch_seeds)
+        scores.extend(float(s) for s in totals)
+        lengths.append(ep_len)
+    return scores, lengths

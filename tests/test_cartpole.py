@@ -11,6 +11,7 @@ from evounits.cartpole import (
     step_reward,
 )
 from evounits.errors import ConfigError, DomainError
+from rollout_oracle import FreezingSwingUp
 
 
 def rk4_rollout(params, state, force, dt, n_steps):
@@ -179,22 +180,43 @@ class TestBatchedEnv:
                 np.testing.assert_allclose(obs_b[i], obs_i, atol=1e-12)
                 assert rew_b[i] == pytest.approx(rew_i, abs=1e-12)
 
-    def test_done_instances_freeze(self):
+    def test_keep_drops_ended_rows(self):
         p = SwingUpParams(max_steps=1000)
-        env = BatchedSwingUp(p, 2)
-        env.reset([0, 1])
-        # Drive instance 0 off the rail, leave instance 1 alone.
+        env = BatchedSwingUp(p, 3)
+        ref = FreezingSwingUp(p, 3)
+        env.reset([0, 1, 2])
+        ref.reset([0, 1, 2])
+        # Drive instance 0 off the rail, leave the others nearly alone.
+        actions = np.array([1.0, 0.0, -0.2])
         for _ in range(1000):
-            if env.all_done:
+            _, r, done = env.step(actions)
+            _, r_ref, _ = ref.step(actions)
+            assert np.array_equal(r, r_ref)
+            if done.any():
                 break
-            _, r, done = env.step(np.array([1.0, 0.0]))
-            if done[0]:
-                frozen = env.state[:, 0].copy()
-                assert r[0] >= 0.0
-                break
-        assert env.done[0]
-        env.step(np.array([1.0, 0.0]))
-        assert np.array_equal(env.state[:, 0], frozen)
+        assert done.tolist() == [True, False, False]
+        assert r[0] >= 0.0  # the final step still earns its reward
+        frozen = ref.state[:, 0].copy()
+        env.keep(~done)
+        assert env.state.shape == (4, 2)
+        assert not env.done.any() and env.done.shape == (2,)
+        assert np.array_equal(env.state, ref.state[:, 1:])
+        for _ in range(20):
+            obs, r, _ = env.step(actions[1:])
+            obs_ref, r_ref, _ = ref.step(actions)
+            assert np.array_equal(env.state, ref.state[:, 1:])
+            assert np.array_equal(obs, obs_ref[1:])
+            assert np.array_equal(r, r_ref[1:])
+        assert np.array_equal(ref.state[:, 0], frozen)  # the oracle froze it
+
+    def test_max_steps_ends_every_row(self):
+        env = BatchedSwingUp(SwingUpParams(max_steps=3), 2)
+        env.reset([0, 1])
+        for _ in range(2):
+            assert not env.step(np.zeros(2))[2].any()
+        assert env.step(np.zeros(2))[2].all()
+        env.keep(~env.done)
+        assert env.state.shape == (4, 0)
 
     def test_seed_count_checked(self):
         env = BatchedSwingUp(SwingUpParams(), 3)

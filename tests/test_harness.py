@@ -105,6 +105,18 @@ class TestPopulationEvaluator:
             harness.CHUNK_SIZE = old
         np.testing.assert_allclose(full, chunked, atol=1e-12)
 
+    def test_two_workers_bitwise_equal_to_one(self, monkeypatch):
+        # Chunks go to the pool, and each worker drops ended episodes itself.
+        from evounits import harness
+
+        monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+        a = rec_arch()
+        genomes = np.random.default_rng(10).normal(0, 1, (10, count_parameters(a)))
+        env = SwingUpParams(max_steps=200, reset_noise=1.0)
+        serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
+        pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
+        assert np.array_equal(pooled, serial)
+
 
 class TestProbes:
     def test_zero_params_flat_traces(self):

@@ -224,6 +224,41 @@ class TestBatchedPolicy:
         batched.reset_states()
         assert np.array_equal(batched.forward(obs), first)
 
+    @pytest.mark.parametrize("mode", list(NeuronMode))
+    def test_forward_after_keep(self, mode):
+        a = Architecture((3, 6, 2), mode, weight_seed=21)
+        rng = np.random.default_rng(13)
+        genomes = rng.normal(0, 1, (4, count_parameters(a)))
+        batched = BatchedPolicy(a, genomes)
+        singles = [
+            FfnnPolicy(a, g) if mode is NeuronMode.PLAIN_TANH else RandomNetwork(a, g)
+            for g in genomes
+        ]
+        obs_seq = rng.normal(size=(6, 3))
+        for obs in obs_seq[:3]:
+            batched.forward(np.tile(obs, (4, 1)))
+            for pol in singles:
+                pol.forward(obs)
+        mask = np.array([True, False, True, True])
+        batched.keep(mask)
+        kept = [pol for pol, m in zip(singles, mask) if m]
+        for obs in obs_seq[3:]:
+            batch_out = batched.forward(np.tile(obs, (3, 1)))
+            assert batch_out.shape == (3, 2)
+            for i, pol in enumerate(kept):
+                np.testing.assert_allclose(batch_out[i], pol.forward(obs), atol=1e-12)
+
+    def test_reset_states_restores_dropped_rows(self):
+        a = rec_arch((2, 3, 1))
+        genomes = np.random.default_rng(2).normal(size=(3, count_parameters(a)))
+        batched = BatchedPolicy(a, genomes)
+        obs = np.ones((3, 2))
+        first = batched.forward(obs)
+        batched.keep(np.array([False, True, False]))
+        batched.forward(obs[:1])
+        batched.reset_states()
+        assert np.array_equal(batched.forward(obs), first)
+
 
 class TestChampionCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -8,6 +8,7 @@ from evounits.optimizers import (
     OpenEs,
     PipelineConfig,
     PipelineRunner,
+    average_ranks,
     run_pipeline,
 )
 
@@ -173,6 +174,21 @@ class TestOpenEs:
                 x = es.ask()
                 es.tell(sphere(x))
             assert sphere(es.center) > start
+
+    def test_average_ranks_match_brute_force_with_ties(self):
+        def brute_force(f):
+            # Rank 1 + number of smaller values, plus half of the other ties.
+            return np.array([1 + np.sum(f < v) + (np.sum(f == v) - 1) / 2 for v in f])
+
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            f = rng.integers(-3, 4, n) * rng.choice([1.0, 0.1])  # few distinct values: ties
+            ranks = average_ranks(f)
+            assert ranks.dtype == np.float64
+            assert np.array_equal(ranks, brute_force(f))
+        assert np.array_equal(average_ranks(np.array([2.0, -1.0, 2.0, 5.0, 2.0])),
+                              [3.0, 1.0, 3.0, 5.0, 3.0])
 
     def test_nan_rejected(self):
         es = OpenEs(np.zeros(3), popsize=4, seed=0)
