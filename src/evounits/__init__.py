@@ -1,7 +1,7 @@
 """Evolving per-neuron parameters in random-weight networks."""
 
 from .architecture import Architecture, count_parameters
-from .cartpole import CartPoleSwingUp, SwingUpParams, run_episode
+from .cartpole import BatchedSwingUp, SwingUpParams
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -13,23 +13,12 @@ from .genome import decode, encode, initial_genome
 from .harness import EvalReport, compare_orderings, evaluate, probe_activations
 from .network import (
     BatchedPolicy,
-    FfnnPolicy,
-    RandomNetwork,
-    build_policy,
     load_champion,
     sample_weights,
     save_champion,
     weight_checksum,
 )
-from .neural_unit import (
-    NeuronMode,
-    NeuronParams,
-    NeuronState,
-    OutputKind,
-    activate_recurrent,
-    activate_simple,
-    output_nonlinearity,
-)
+from .neural_unit import NeuronMode, OutputKind
 from .optimizers import (
     CmaEs,
     GeneticAlgorithm,

@@ -9,8 +9,7 @@ upright, pi is hanging down; the pole's center of mass sits at
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,58 +79,17 @@ def step_reward(params: SwingUpParams, x, theta):
     return r_theta * np.maximum(r_x, 0.0)
 
 
-class CartPoleSwingUp:
-    """Single-instance environment with the generic reset/step contract."""
-
-    obs_dim = 5
-    action_dim = 1
-
-    def __init__(self, params: SwingUpParams = None):
-        self.params = params or SwingUpParams()
-        self.max_steps = self.params.max_steps
-        self.state = None
-        self.t = 0
-        self.done = True
-
-    def reset(self, seed):
-        self.state = initial_state(self.params, seed)
-        self.t = 0
-        self.done = False
-        return self._observe()
-
-    def _observe(self):
-        x, x_dot, theta, theta_dot = self.state
-        return np.array([x, x_dot, np.cos(theta), np.sin(theta), theta_dot])
-
-    def step(self, action):
-        """Advance one dt with semi-implicit Euler; returns (obs, reward, done)."""
-        if self.done:
-            raise DomainError("step() called on a terminated episode; reset first")
-        action = float(np.asarray(action).reshape(()))
-        if not math.isfinite(action):
-            raise DomainError("action must be finite")
-        force = np.clip(action, -1.0, 1.0) * self.params.force_mag
-        p = self.params
-        x, x_dot, theta, theta_dot = self.state
-        x_acc, theta_acc = accelerations(p, self.state, force)
-        x_dot = x_dot + x_acc * p.dt
-        theta_dot = theta_dot + theta_acc * p.dt
-        x = x + x_dot * p.dt
-        theta = theta + theta_dot * p.dt
-        self.state = np.array([x, x_dot, theta, theta_dot])
-        self.t += 1
-        reward = float(step_reward(p, x, theta))
-        self.done = bool(abs(x) > p.x_threshold or self.t >= p.max_steps)
-        return self._observe(), reward, self.done
-
-
 class BatchedSwingUp:
     """The running instances of a batch of n episodes, advanced in lockstep.
 
     ``reset`` starts all n instances. ``step`` advances every instance held
     and flags in ``done`` those whose episode ended with that step; ``keep``
     then drops them, so stepping never spends work on an ended episode.
+    A single episode is a batch of n = 1.
     """
+
+    obs_dim = 5
+    action_dim = 1
 
     def __init__(self, params: SwingUpParams, n: int):
         self.params = params
@@ -155,6 +113,8 @@ class BatchedSwingUp:
 
     def step(self, actions):
         """Advance every held instance; returns (obs, reward, done) per instance."""
+        if self.done.any():
+            raise DomainError("step() on an ended episode; drop it with keep() or reset")
         if not np.all(np.isfinite(actions)):
             raise DomainError("actions must be finite")
         p = self.params
@@ -180,29 +140,11 @@ class BatchedSwingUp:
         self.done = self.done[mask]
 
 
-@dataclass
-class EpisodeResult:
-    total_reward: float
-    steps: int
-    seed: int
-    trajectory: list = field(default=None, repr=False)
-
-
-def run_episode(policy, env, seed, record_trajectory=False) -> EpisodeResult:
-    """Roll one episode: reset env and policy state, loop obs -> action -> step."""
-    obs = env.reset(seed)
-    policy.reset_states()
-    total = 0.0
-    steps = 0
-    rows = [] if record_trajectory else None
-    done = False
-    while not done:
-        action = policy.forward(obs)
-        obs, reward, done = env.step(action)
-        total += reward
-        steps += 1
-        if rows is not None:
-            x, x_dot, theta, theta_dot = env.state
-            rows.append((steps, x, x_dot, theta, theta_dot,
-                         float(np.asarray(action).reshape(())), reward))
-    return EpisodeResult(total_reward=total, steps=steps, seed=seed, trajectory=rows)
+def check_arch(arch):
+    """Raise ConfigError unless the network's input and output layers fit this task."""
+    if (arch.obs_dim, arch.action_dim) != (BatchedSwingUp.obs_dim, BatchedSwingUp.action_dim):
+        raise ConfigError(
+            f"arch.layer_sizes: {list(arch.layer_sizes)} must start with "
+            f"{BatchedSwingUp.obs_dim} inputs and end with {BatchedSwingUp.action_dim} "
+            "output for the swing-up task"
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import pickle
 import sys
 from pathlib import Path
@@ -15,17 +16,18 @@ from .config import ExperimentConfig, from_preset, load_config, save_config
 from .errors import CheckpointError, ConfigError, EvaluationError, EvoUnitsError
 from .genome import initial_genome
 from .architecture import count_parameters
-from .cartpole import CartPoleSwingUp, run_episode
+from .cartpole import SwingUpParams
 from .harness import (
     EVAL_SEED_OFFSET,
     PopulationEvaluator,
     compare_orderings,
+    episode_trajectory,
     evaluate,
     probe_activations,
     write_eval_json,
     write_trace_csv,
 )
-from .network import build_policy, load_champion, save_champion
+from .network import load_champion, save_champion
 from .neural_unit import NeuronMode
 from .optimizers import PipelineRunner
 
@@ -202,12 +204,7 @@ def cmd_resume(args):
 
 def cmd_eval(args):
     arch, genome, _ = load_champion(args.champion)
-    env_params = (
-        load_config(args.config).env_params() if args.config else None
-    )
-    from .cartpole import SwingUpParams
-
-    env_params = env_params or SwingUpParams()
+    env_params = load_config(args.config).env_params() if args.config else SwingUpParams()
     report = evaluate(
         genome, arch, env_params, args.episodes, args.seed,
         genome_id=Path(args.champion).stem,
@@ -219,13 +216,11 @@ def cmd_eval(args):
         f"over {report.n_episodes} episodes (base seed {report.base_seed})"
     )
     if args.dump_trajectory:
-        policy = build_policy(arch, genome)
-        env = CartPoleSwingUp(env_params)
-        result = run_episode(policy, env, args.seed, record_trajectory=True)
+        rows = episode_trajectory(genome, arch, env_params, args.episodes, args.seed)
         with open(args.dump_trajectory, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "action", "reward"])
-            for row in result.trajectory:
+            for row in rows:
                 writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
         print(f"trajectory written to {args.dump_trajectory}")
     return 0
@@ -241,8 +236,6 @@ def cmd_probe(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"traces_layer{args.layer}.csv"
     write_trace_csv(csv_path, traces)
-    import json
-
     with open(out_dir / f"divergence_layer{args.layer}.json", "w") as fh:
         json.dump(
             {

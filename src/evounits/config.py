@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import yaml
 
 from .architecture import Architecture
-from .cartpole import SwingUpParams
+from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
 from .neural_unit import NeuronMode, OutputKind
 from .optimizers import PipelineConfig
@@ -87,7 +87,7 @@ class ExperimentConfig:
     def validate(self):
         """Materialize every derived object so bad fields fail up front."""
         self.env_params()
-        self.architecture()
+        check_arch(self.architecture())
         self.pipeline()
         if self.episodes_per_candidate < 1:
             raise ConfigError("evaluation.episodes_per_candidate: must be >= 1")
@@ -105,39 +105,28 @@ _CARTPOLE_EVAL = {
     "eval_episodes": 64,
 }
 
+# Shared by several presets; _deep_merge copies it, so they cannot alias.
+_GA_CMAES = {
+    "optimizer_kind": "ga-cmaes",
+    "ga_generations": 100,
+    "total_generations": 4000,
+    "ga_pop": 512,
+    "cmaes_pop": 128,
+    **_CARTPOLE_EVAL,
+}
+
 PRESETS = {
     "cartpole-recurrent": {
         "arch": {"layer_sizes": [5, 128, 64, 1], "neuron_mode": "recurrent"},
-        "optimizer": {
-            "optimizer_kind": "ga-cmaes",
-            "ga_generations": 100,
-            "total_generations": 4000,
-            "ga_pop": 512,
-            "cmaes_pop": 128,
-            **_CARTPOLE_EVAL,
-        },
+        "optimizer": _GA_CMAES,
     },
     "cartpole-simple": {
         "arch": {"layer_sizes": [5, 128, 64, 1], "neuron_mode": "simple"},
-        "optimizer": {
-            "optimizer_kind": "ga-cmaes",
-            "ga_generations": 100,
-            "total_generations": 4000,
-            "ga_pop": 512,
-            "cmaes_pop": 128,
-            **_CARTPOLE_EVAL,
-        },
+        "optimizer": _GA_CMAES,
     },
     "cartpole-small-ffnn": {
         "arch": {"layer_sizes": [5, 32, 32, 1], "neuron_mode": "tanh"},
-        "optimizer": {
-            "optimizer_kind": "ga-cmaes",
-            "ga_generations": 100,
-            "total_generations": 4000,
-            "ga_pop": 512,
-            "cmaes_pop": 128,
-            **_CARTPOLE_EVAL,
-        },
+        "optimizer": _GA_CMAES,
     },
     "cartpole-same-ffnn": {
         "arch": {"layer_sizes": [5, 128, 64, 1], "neuron_mode": "tanh"},

@@ -23,31 +23,32 @@ def _check_length(arch, n):
         )
 
 
-def decode(genome, arch: Architecture):
-    """Unflatten a genome into per-layer parameter arrays.
+def decode(genomes, arch: Architecture):
+    """Unflatten genomes into per-layer parameter arrays.
 
-    Unit modes return one array per layer: (n, 2, 3) recurrent or (n, 2)
-    simple. Plain-tanh returns [(W, b), ...] per weight layer.
+    ``genomes`` is one genome of shape (dim,) or a batch of shape (..., dim);
+    the leading axes pass through to every array returned. Unit modes return
+    one array per layer: (..., n, 2, 3) recurrent or (..., n, 2) simple.
+    Plain-tanh returns [(W, b), ...] per weight layer, with W (..., out, in)
+    and b (..., out).
     """
-    g = np.asarray(genome, dtype=np.float64)
-    _check_length(arch, g.size)
+    g = np.atleast_1d(np.asarray(genomes, dtype=np.float64))
+    _check_length(arch, g.shape[-1])
+    lead = g.shape[:-1]
     sizes = arch.layer_sizes
+    out = []
+    pos = 0
     if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        out = []
-        pos = 0
         for fan_in, fan_out in zip(sizes, sizes[1:]):
-            w = g[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)
+            w = g[..., pos : pos + fan_in * fan_out].reshape(lead + (fan_out, fan_in))
             pos += fan_in * fan_out
-            b = g[pos : pos + fan_out]
+            out.append((w, g[..., pos : pos + fan_out]))
             pos += fan_out
-            out.append((w, b))
         return out
     per = PARAMS_PER_NEURON[arch.neuron_mode]
     shape = (2, 3) if arch.neuron_mode is NeuronMode.RECURRENT else (2,)
-    out = []
-    pos = 0
     for n in sizes:
-        out.append(g[pos : pos + n * per].reshape((n,) + shape))
+        out.append(g[..., pos : pos + n * per].reshape(lead + (n,) + shape))
         pos += n * per
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .architecture import Architecture
-from .cartpole import BatchedSwingUp, SwingUpParams
+from .cartpole import BatchedSwingUp, SwingUpParams, check_arch
 from .errors import ConfigError
 from .genome import decode
 from .neural_unit import (
@@ -74,11 +74,13 @@ class OrderingDivergence:
         self.max_divergence = float(self.divergence.max()) if len(self.divergence) else 0.0
 
 
-def _episode_totals(net, env, seeds):
+def _episode_totals(net, env, seeds, trajectory=None):
     """Total reward of one episode per row, row i seeded by ``seeds[i]``.
 
     Only running episodes are stepped: rows whose episode ended leave both
-    the policy and the env, and the loop stops when none is left.
+    the policy and the env, and the loop stops when none is left. A
+    ``trajectory`` list gets one (t, x, x_dot, theta, theta_dot, action,
+    reward) tuple per step of row 0's episode.
     """
     net.reset_states()
     obs = env.reset(seeds)
@@ -87,6 +89,8 @@ def _episode_totals(net, env, seeds):
         actions = net.forward(obs)
         obs, reward, done = env.step(actions[:, 0])
         totals[net.rows] += reward
+        if trajectory is not None and net.rows[0] == 0:
+            trajectory.append((env.t, *env.state[:, 0], actions[0, 0], reward[0]))
         if done.any():
             live = ~done
             net.keep(live)
@@ -119,6 +123,7 @@ def evaluate_population(arch, env_params, genomes, episode_seeds,
     Work is split into fixed-size chunks; the worker count only controls how
     many chunks run concurrently, never the math inside a chunk.
     """
+    check_arch(arch)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
     chunks = [genomes[i : i + CHUNK_SIZE] for i in range(0, genomes.shape[0], CHUNK_SIZE)]
     if workers <= 1 and pool is None:
@@ -168,21 +173,27 @@ class PopulationEvaluator:
         )
 
 
+def _episode_scores(genome, arch, env_params, seeds, trajectory=None):
+    """One episode of ``genome`` per seed, all in one batch."""
+    n = len(seeds)
+    net = BatchedPolicy(arch, np.tile(genome, (n, 1)))
+    return _episode_totals(net, BatchedSwingUp(env_params, n), seeds, trajectory)
+
+
 def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
              n_episodes, base_seed, genome_id="genome") -> EvalReport:
     """Score one genome over episodes seeded base_seed .. base_seed+n-1."""
     if n_episodes < 1:
         raise ConfigError("n_episodes: must be at least 1")
+    check_arch(arch)
     genome = np.asarray(genome, dtype=np.float64)
     seeds = [base_seed + k for k in range(n_episodes)]
     scores = []
     # Batch episodes of the same genome; chunked like population evaluation.
     for i in range(0, n_episodes, CHUNK_SIZE):
-        batch_seeds = seeds[i : i + CHUNK_SIZE]
-        n = len(batch_seeds)
-        net = BatchedPolicy(arch, np.tile(genome, (n, 1)))
-        env = BatchedSwingUp(env_params, n)
-        scores.extend(float(s) for s in _episode_totals(net, env, batch_seeds))
+        scores.extend(
+            float(s) for s in _episode_scores(genome, arch, env_params, seeds[i : i + CHUNK_SIZE])
+        )
     scores_arr = np.array(scores)
     return EvalReport(
         genome_id=genome_id,
@@ -192,6 +203,25 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
         n_episodes=n_episodes,
         base_seed=base_seed,
     )
+
+
+def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams,
+                       n_episodes, base_seed):
+    """Per-step (t, x, x_dot, theta, theta_dot, action, reward) of episode
+    ``base_seed`` exactly as :func:`evaluate` with the same arguments runs it.
+
+    The episode is rolled out inside the evaluation's first chunk, because a
+    weight product's BLAS result for one row changes with the row count; so
+    the rewards sum bitwise to the evaluation's first score. With
+    ``n_episodes=1`` this is a batch of one.
+    """
+    if n_episodes < 1:
+        raise ConfigError("n_episodes: must be at least 1")
+    check_arch(arch)
+    seeds = [base_seed + k for k in range(min(n_episodes, CHUNK_SIZE))]
+    trajectory = []
+    _episode_scores(genome, arch, env_params, seeds, trajectory)
+    return trajectory
 
 
 def _sweep(params_layer, mode, inputs):

@@ -1,4 +1,4 @@
-"""Full networks: frozen random weights with per-neuron units, and the
+"""The batched policy: frozen random weights with per-neuron units, or the
 weight-trainable tanh baseline. Also the champion checkpoint format.
 """
 
@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .architecture import Architecture, count_parameters
-from .errors import CheckpointError, ConfigError, DomainError
+from .errors import CheckpointError
 from .genome import decode
 from .neural_unit import (
     NeuronMode,
@@ -49,103 +49,6 @@ def _all_tanh(kinds):
     return all(k is OutputKind.TANH for k in kinds)
 
 
-class RandomNetwork:
-    """Random-weight network with one evolvable unit per neuron.
-
-    The weight matrices are built once from the architecture's seed and are
-    never touched afterwards; only the unit parameters (from the genome) and
-    the per-neuron states change between instances and time steps.
-    """
-
-    def __init__(self, arch: Architecture, genome, weights=None):
-        if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-            raise ConfigError("neuron_mode: plain-tanh networks use FfnnPolicy")
-        self.arch = arch
-        self.weights = sample_weights(arch) if weights is None else weights
-        self.params = [parameter_major(p, arch.neuron_mode) for p in decode(genome, arch)]
-        self.states = [np.zeros(n) for n in arch.layer_sizes]
-        self._out_fn = None
-        if not _all_tanh(arch.output_kinds):
-            self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
-
-    def reset_states(self):
-        for h in self.states:
-            h.fill(0.0)
-
-    def forward(self, obs):
-        """One time step; updates neuron states in place, returns the action."""
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.arch.obs_dim,):
-            raise DomainError(
-                f"observation shape {obs.shape} does not match input layer "
-                f"({self.arch.obs_dim},)"
-            )
-        if not np.all(np.isfinite(obs)):
-            raise DomainError("observation must be finite")
-        recurrent = self.arch.neuron_mode is NeuronMode.RECURRENT
-        x = obs
-        last = self.arch.n_layers - 1
-        for k in range(self.arch.n_layers):
-            pre = x if k == 0 else self.weights[k - 1] @ x
-            out_fn = self._out_fn if k == last else None
-            if recurrent:
-                x, h_new = layer_step_recurrent(self.params[k], pre, self.states[k], out_fn)
-                self.states[k][:] = h_new
-            else:
-                x = layer_step_simple(self.params[k], pre, out_fn)
-        return x
-
-    def clone(self):
-        net = RandomNetwork.__new__(RandomNetwork)
-        net.arch = self.arch
-        net.weights = self.weights  # frozen, safe to share
-        net.params = self.params
-        net.states = [h.copy() for h in self.states]
-        net._out_fn = self._out_fn
-        return net
-
-
-class FfnnPolicy:
-    """Plain fully connected tanh network; weights and biases come from the genome."""
-
-    def __init__(self, arch: Architecture, genome):
-        if arch.neuron_mode is not NeuronMode.PLAIN_TANH:
-            raise ConfigError("neuron_mode: FfnnPolicy requires plain-tanh mode")
-        self.arch = arch
-        self.layers = decode(genome, arch)
-        self._out_fn = None
-        if not _all_tanh(arch.output_kinds):
-            self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
-
-    def reset_states(self):
-        pass  # stateless
-
-    def forward(self, obs):
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.arch.obs_dim,):
-            raise DomainError(
-                f"observation shape {obs.shape} does not match input layer "
-                f"({self.arch.obs_dim},)"
-            )
-        if not np.all(np.isfinite(obs)):
-            raise DomainError("observation must be finite")
-        x = obs
-        last = len(self.layers) - 1
-        for k, (w, b) in enumerate(self.layers):
-            z = w @ x + b
-            if k == last and self._out_fn is not None:
-                x = self._out_fn(z)
-            else:
-                x = np.tanh(z)
-        return x
-
-
-def build_policy(arch: Architecture, genome, weights=None):
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        return FfnnPolicy(arch, genome)
-    return RandomNetwork(arch, genome, weights=weights)
-
-
 class BatchedPolicy:
     """Forward pass for the live rows of a batch of B candidates.
 
@@ -160,34 +63,16 @@ class BatchedPolicy:
         self.arch = arch
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         self.batch = genomes.shape[0]
-        if genomes.shape[1] != count_parameters(arch):
-            raise ConfigError(
-                f"genome length mismatch: expected {count_parameters(arch)}, "
-                f"got {genomes.shape[1]}"
-            )
         self.mode = arch.neuron_mode
+        layers = decode(genomes, arch)
         self._out_fn = None
         if not _all_tanh(arch.output_kinds):
             self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
         if self.mode is NeuronMode.PLAIN_TANH:
-            per_layer = [decode(g, arch) for g in genomes]
-            self._all_layers = [
-                (
-                    np.stack([cand[k][0] for cand in per_layer]),
-                    np.stack([cand[k][1] for cand in per_layer]),
-                )
-                for k in range(arch.n_layers - 1)
-            ]
+            self._all_layers = layers
         else:
             self.weights = sample_weights(arch) if weights is None else weights
-            per = 6 if self.mode is NeuronMode.RECURRENT else 2
-            shape = (2, 3) if self.mode is NeuronMode.RECURRENT else (2,)
-            self._all_params = []
-            pos = 0
-            for n in arch.layer_sizes:
-                block = genomes[:, pos : pos + n * per].reshape((self.batch, n) + shape)
-                self._all_params.append(parameter_major(block, self.mode))
-                pos += n * per
+            self._all_params = [parameter_major(p, self.mode) for p in layers]
             # Inputs of each weight product, scattered back to their rows.
             self._product_in = [np.zeros((self.batch, n)) for n in arch.layer_sizes[:-1]]
         self.reset_states()
@@ -307,6 +192,8 @@ def load_champion(path):
         recorded = payload["weight_checksum"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+    if not np.all(np.isfinite(genome)):
+        raise CheckpointError(f"malformed checkpoint {path}: genome has non-finite values")
     if genome.size != count_parameters(arch):
         raise CheckpointError(
             f"checkpoint genome length {genome.size} does not match architecture "

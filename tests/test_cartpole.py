@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import (
     BatchedSwingUp,
-    CartPoleSwingUp,
     SwingUpParams,
     accelerations,
     initial_state,
-    run_episode,
     step_reward,
 )
 from evounits.errors import ConfigError, DomainError
+from evounits.harness import episode_trajectory, evaluate
+from evounits.neural_unit import NeuronMode
 from rollout_oracle import FreezingSwingUp
 
 
@@ -46,18 +47,18 @@ def mechanical_energy(params, state):
 
 class TestReset:
     def test_seeded_reset_reproducible(self):
-        env = CartPoleSwingUp()
-        o1 = env.reset(123)
-        o2 = env.reset(123)
+        env = BatchedSwingUp(SwingUpParams(), 1)
+        o1 = env.reset([123])
+        o2 = env.reset([123])
         assert np.array_equal(o1, o2)
 
     def test_observation_layout(self):
-        env = CartPoleSwingUp()
-        obs = env.reset(0)
-        assert obs.shape == (5,)
+        env = BatchedSwingUp(SwingUpParams(), 1)
+        obs = env.reset([0])
+        assert obs.shape == (1, 5)
         # Pole hangs down at reset.
-        assert obs[2] == pytest.approx(-1.0, abs=1e-3)
-        x, x_dot, _, _, theta_dot = obs
+        assert obs[0, 2] == pytest.approx(-1.0, abs=1e-3)
+        x, x_dot, _, _, theta_dot = obs[0]
         assert abs(x) <= 0.01 and abs(x_dot) <= 0.01 and abs(theta_dot) <= 0.01
 
     def test_reset_noise_bounds(self):
@@ -85,67 +86,76 @@ class TestStep:
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_zero_action_pole_stays_down(self):
-        env = CartPoleSwingUp()
-        env.reset(3)
-        start = env.state.copy()
+        env = BatchedSwingUp(SwingUpParams(), 1)
+        env.reset([3])
+        start = env.state[:, 0].copy()
         for _ in range(10):
-            env.step(0.0)
+            env.step(np.zeros(1))
         # Hanging is a stable equilibrium: nothing moves much in 0.1 s.
-        assert abs(env.state[2] - np.pi) < 0.05
-        assert abs(env.state[0] - start[0]) < 0.01
+        assert abs(env.state[2, 0] - np.pi) < 0.05
+        assert abs(env.state[0, 0] - start[0]) < 0.01
 
     def test_semi_implicit_matches_fine_reference(self):
         # Coarse semi-implicit Euler vs RK4 at dt/10, 10 coarse steps, no force.
         p = SwingUpParams(friction=0.0)
-        env = CartPoleSwingUp(p)
-        env.reset(3)
-        start = env.state.copy()
+        env = BatchedSwingUp(p, 1)
+        env.reset([3])
+        start = env.state[:, 0].copy()
         for _ in range(10):
-            env.step(0.0)
+            env.step(np.zeros(1))
         ref = rk4_rollout(p, start, 0.0, p.dt / 10.0, 100)
-        np.testing.assert_allclose(env.state, ref, atol=5e-4, rtol=0)
+        np.testing.assert_allclose(env.state[:, 0], ref, atol=5e-4, rtol=0)
 
     def test_step_after_done_raises(self):
-        env = CartPoleSwingUp(SwingUpParams(max_steps=2))
-        env.reset(0)
-        env.step(0.0)
-        env.step(0.0)
+        env = BatchedSwingUp(SwingUpParams(max_steps=2), 2)
+        env.reset([0, 1])
+        env.step(np.zeros(2))
+        env.step(np.zeros(2))
         with pytest.raises(DomainError):
-            env.step(0.0)
+            env.step(np.zeros(2))
+        # A row that ended and was not dropped with keep() is caught too.
+        env = BatchedSwingUp(SwingUpParams(), 2)
+        env.reset([0, 1])
+        while not env.step(np.array([1.0, 0.0]))[2].any():
+            pass
+        with pytest.raises(DomainError):
+            env.step(np.array([1.0, 0.0]))
+        env.keep(~env.done)
+        env.step(np.zeros(1))
 
     def test_nonfinite_action_rejected(self):
-        env = CartPoleSwingUp()
-        env.reset(0)
+        env = BatchedSwingUp(SwingUpParams(), 1)
+        env.reset([0])
         with pytest.raises(DomainError):
-            env.step(float("nan"))
+            env.step(np.array([np.nan]))
 
     def test_determinism_bitwise(self):
         actions = np.sin(np.arange(200) * 0.07)
         trajectories = []
         for _ in range(2):
-            env = CartPoleSwingUp()
-            env.reset(11)
+            env = BatchedSwingUp(SwingUpParams(), 1)
+            env.reset([11])
             states = []
             for a in actions:
-                _, _, done = env.step(a)
+                _, _, done = env.step(np.array([a]))
                 states.append(env.state.copy())
-                if done:
+                if done.any():
                     break
             trajectories.append(np.stack(states))
         assert np.array_equal(trajectories[0], trajectories[1])
 
     def test_mirror_symmetry_exact(self):
         p = SwingUpParams()
-        env_a = CartPoleSwingUp(p)
-        env_b = CartPoleSwingUp(p)
-        env_a.reset(0)
+        env_a = BatchedSwingUp(p, 1)
+        env_b = BatchedSwingUp(p, 1)
+        env_a.reset([0])
         start = env_a.state.copy()
-        env_b.reset(0)
+        env_b.reset([0])
         env_b.state = -start  # mirrored start: x, x_dot, theta, theta_dot all negated
         actions = np.cos(np.arange(100) * 0.13) * 0.8
         for a in actions:
-            env_a.step(a)
-            env_b.step(-a)
+            env_a.step(np.array([a]))
+            env_b.step(np.array([-a]))
         assert np.array_equal(env_b.state, -env_a.state)
 
 
@@ -168,17 +178,17 @@ class TestBatchedEnv:
         seeds = [4, 9, 17]
         batched = BatchedSwingUp(p, 3)
         obs_b = batched.reset(seeds)
-        singles = [CartPoleSwingUp(p) for _ in seeds]
-        obs_s = np.stack([env.reset(s) for env, s in zip(singles, seeds)])
+        singles = [BatchedSwingUp(p, 1) for _ in seeds]
+        obs_s = np.concatenate([env.reset([s]) for env, s in zip(singles, seeds)])
         np.testing.assert_allclose(obs_b, obs_s, atol=0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             actions = rng.uniform(-1, 1, 3)
             obs_b, rew_b, _ = batched.step(actions)
             for i, env in enumerate(singles):
-                obs_i, rew_i, _ = env.step(actions[i])
-                np.testing.assert_allclose(obs_b[i], obs_i, atol=1e-12)
-                assert rew_b[i] == pytest.approx(rew_i, abs=1e-12)
+                obs_i, rew_i, _ = env.step(actions[i : i + 1])
+                np.testing.assert_allclose(obs_b[i], obs_i[0], atol=1e-12)
+                assert rew_b[i] == pytest.approx(rew_i[0], abs=1e-12)
 
     def test_keep_drops_ended_rows(self):
         p = SwingUpParams(max_steps=1000)
@@ -224,36 +234,40 @@ class TestBatchedEnv:
             env.reset([1, 2])
 
 
+def constant_policy_genome(value, sizes=(5, 4, 1)):
+    """A recurrent genome whose action is tanh(arctanh(value)) at every step:
+    only the output unit's bias is set."""
+    arch = Architecture(sizes, NeuronMode.RECURRENT)
+    genome = np.zeros(count_parameters(arch))
+    genome[-4] = np.arctanh(value)  # output row: [x, h, bias]
+    return genome, arch
+
+
 class TestRunEpisode:
-    class ConstantPolicy:
-        def __init__(self, value):
-            self.value = value
-
-        def reset_states(self):
-            pass
-
-        def forward(self, obs):
-            return np.array([self.value])
-
     def test_reward_ceiling(self):
-        result = run_episode(self.ConstantPolicy(0.0), CartPoleSwingUp(), 5)
-        assert 0.0 <= result.total_reward <= 1000.0
-        assert result.steps <= 1000
+        genome, arch = constant_policy_genome(0.0)
+        report = evaluate(genome, arch, SwingUpParams(), 1, 5)
+        assert 0.0 <= report.scores[0] <= 1000.0
+        steps = len(episode_trajectory(genome, arch, SwingUpParams(), 1, 5))
+        assert steps <= 1000
 
     def test_zero_policy_scores_nothing(self):
-        result = run_episode(self.ConstantPolicy(0.0), CartPoleSwingUp(), 5)
-        assert result.total_reward < 1.0  # pole never leaves the bottom
+        genome, arch = constant_policy_genome(0.0)
+        report = evaluate(genome, arch, SwingUpParams(), 1, 5)
+        assert report.scores[0] < 1.0  # pole never leaves the bottom
 
     def test_bitwise_repeatable(self):
-        r1 = run_episode(self.ConstantPolicy(0.3), CartPoleSwingUp(), 8)
-        r2 = run_episode(self.ConstantPolicy(0.3), CartPoleSwingUp(), 8)
-        assert r1.total_reward == r2.total_reward
-        assert r1.steps == r2.steps
+        genome, arch = constant_policy_genome(0.3)
+        r1 = evaluate(genome, arch, SwingUpParams(), 1, 8)
+        r2 = evaluate(genome, arch, SwingUpParams(), 1, 8)
+        assert r1.scores == r2.scores
+        t1 = episode_trajectory(genome, arch, SwingUpParams(), 1, 8)
+        t2 = episode_trajectory(genome, arch, SwingUpParams(), 1, 8)
+        assert len(t1) == len(t2) < 1000  # the constant push runs off the rail
 
     def test_trajectory_recording(self):
-        result = run_episode(
-            self.ConstantPolicy(0.5), CartPoleSwingUp(SwingUpParams(max_steps=20)),
-            2, record_trajectory=True,
-        )
-        assert len(result.trajectory) == result.steps
-        assert len(result.trajectory[0]) == 7  # t, state(4), action, reward
+        genome, arch = constant_policy_genome(0.5)
+        traj = episode_trajectory(genome, arch, SwingUpParams(max_steps=20), 1, 2)
+        assert [row[0] for row in traj] == list(range(1, 21))
+        assert len(traj[0]) == 7  # t, state(4), action, reward
+        assert all(row[5] == 0.5 for row in traj)

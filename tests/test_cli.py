@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 import yaml
 
+import rollout_oracle as oracle
+from evounits.cartpole import SwingUpParams
 from evounits.cli import main
+from evounits.harness import CHUNK_SIZE
+from evounits.network import load_champion
+
+REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
+    "reference_champion.json"
 
 BASE_CONFIG = {
     "preset": "cartpole-recurrent",
@@ -82,6 +90,14 @@ class TestTrain:
                      "--quiet"]) == 1
         assert not out.exists()
 
+    def test_arch_not_fitting_task_rejected_before_compute(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.yaml", **{"arch.layer_sizes": [5, 6, 4, 2]})
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert "arch.layer_sizes" in capsys.readouterr().err
+
     def test_unknown_field_named_in_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.yaml", **{"arch.bogus_field": 1})
         assert main(["train", "--config", str(cfg), "--out-dir",
@@ -117,8 +133,7 @@ class TestEval:
     def test_reference_champion_reproduces_recorded_score(self, tmp_path):
         # The shipped champion re-scored on fresh seeds must land within one
         # recorded standard deviation of its recorded mean.
-        champion = Path(__file__).resolve().parent.parent / "artifacts" / \
-            "reference_champion.json"
+        champion = REFERENCE_CHAMPION
         recorded = json.loads(champion.read_text())["eval"]
         out = tmp_path / "ref.json"
         code = main(["eval", "--champion", str(champion),
@@ -141,6 +156,26 @@ class TestEval:
         lines = traj.read_text().strip().splitlines()
         assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward"
         assert len(lines) > 1
+
+    def test_trajectory_is_episode_seed_of_the_eval(self, tmp_path):
+        # At 5-128-64-1 a one-row rollout rounds differently in the weight
+        # products than row 0 of the eval's three-row batch, and its reward
+        # sum differs in the last digits. Episode 22 runs off the rail early.
+        out, traj = tmp_path / "r.json", tmp_path / "traj.csv"
+        env = SwingUpParams(max_steps=150, reset_noise=0.5)
+        cfg = write_config(tmp_path / "env.yaml", env={"max_steps": 150, "reset_noise": 0.5})
+        assert main(["eval", "--champion", str(REFERENCE_CHAMPION), "--episodes", "3",
+                     "--seed", "22", "--config", str(cfg), "--out", str(out),
+                     "--dump-trajectory", str(traj)]) == 0
+        with open(traj) as fh:
+            rows = list(csv.DictReader(fh))
+        total = 0.0
+        for row in rows:
+            total += float(row["reward"])
+        assert total == json.loads(out.read_text())["scores"][0]
+        arch, genome, _ = load_champion(REFERENCE_CHAMPION)
+        _, lengths = oracle.evaluation_scores(genome, arch, env, 3, 22, CHUNK_SIZE)
+        assert len(rows) == lengths[0][0] < env.max_steps
 
 
 class TestProbe:

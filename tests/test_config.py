@@ -1,0 +1,41 @@
+from dataclasses import asdict
+
+import pytest
+
+from evounits.architecture import Architecture
+from evounits.config import PRESETS, from_preset
+from evounits.errors import ConfigError
+from evounits.neural_unit import NeuronMode
+
+GA_CMAES = {
+    "total_generations": 4000, "ga_generations": 100, "ga_pop": 512,
+    "ga_elite_frac": 0.125, "ga_mutation_std": 1.0, "cmaes_pop": 128,
+    "cmaes_sigma0": 0.5, "optimizer_kind": "ga-cmaes", "openes_pop": 128,
+    "openes_sigma": 0.1, "openes_lr": 0.01, "eval_every": 50, "eval_episodes": 64,
+    "seed": 0,
+}
+OPENES = {**GA_CMAES, "optimizer_kind": "openes"}
+
+PINNED = {
+    "cartpole-recurrent": ((5, 128, 64, 1), NeuronMode.RECURRENT, GA_CMAES),
+    "cartpole-simple": ((5, 128, 64, 1), NeuronMode.SIMPLE, GA_CMAES),
+    "cartpole-small-ffnn": ((5, 32, 32, 1), NeuronMode.PLAIN_TANH, GA_CMAES),
+    "cartpole-same-ffnn": ((5, 128, 64, 1), NeuronMode.PLAIN_TANH, OPENES),
+}
+
+
+def test_every_preset_resolves_to_its_pinned_values():
+    assert sorted(PINNED) == sorted(PRESETS)
+    for name, (sizes, mode, pipeline) in PINNED.items():
+        cfg = from_preset(name)
+        assert cfg.architecture() == Architecture(sizes, mode, weight_seed=0, weight_std=0.5)
+        assert asdict(cfg.pipeline()) == pipeline
+        # Presets share an optimizer block; editing one config leaves the rest.
+        cfg.optimizer["ga_pop"] = 3
+        cfg.optimizer["eval_every"] = 7
+
+
+@pytest.mark.parametrize("sizes", [[4, 8, 1], [5, 8, 2], [4, 8, 3]])
+def test_arch_must_fit_the_task(sizes):
+    with pytest.raises(ConfigError, match="arch.layer_sizes"):
+        from_preset("cartpole-recurrent", {"arch": {"layer_sizes": sizes}})

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from evounits.architecture import Architecture, count_parameters
-from evounits.cartpole import CartPoleSwingUp, SwingUpParams, run_episode
+from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError
 from evounits.genome import encode, decode, initial_genome
 from evounits.harness import (
     PopulationEvaluator,
     compare_orderings,
+    episode_trajectory,
     evaluate,
     evaluate_population,
     probe_activations,
     write_eval_json,
     write_trace_csv,
 )
-from evounits.network import RandomNetwork
 from evounits.neural_unit import NeuronMode
 
 
@@ -49,9 +49,8 @@ class TestEvaluate:
         g = np.random.default_rng(3).normal(size=count_parameters(a))
         report = evaluate(g, a, ENV, 3, 7)
         for k, score in enumerate(report.scores):
-            net = RandomNetwork(a, g)
-            result = run_episode(net, CartPoleSwingUp(ENV), 7 + k)
-            assert score == pytest.approx(result.total_reward, abs=1e-9)
+            traj = episode_trajectory(g, a, ENV, 1, 7 + k)
+            assert score == pytest.approx(sum(row[-1] for row in traj), abs=1e-9)
 
     def test_zero_genome_scores_nothing(self):
         a = rec_arch()
@@ -70,6 +69,25 @@ class TestEvaluate:
         a = rec_arch()
         with pytest.raises(ConfigError):
             evaluate(initial_genome(a), a, ENV, 0, 0)
+        with pytest.raises(ConfigError):
+            episode_trajectory(initial_genome(a), a, ENV, 0, 0)
+
+
+class TestArchMustFitTask:
+    # The swing-up task observes 5 values and takes 1 action.
+    @pytest.mark.parametrize("sizes", [(4, 8, 1), (5, 8, 2), (4, 8, 3)])
+    def test_evaluation_rejects_wrong_io(self, sizes):
+        a = rec_arch(sizes)
+        with pytest.raises(ConfigError, match="arch.layer_sizes"):
+            evaluate(initial_genome(a), a, ENV, 1, 0)
+        with pytest.raises(ConfigError, match="arch.layer_sizes"):
+            evaluate_population(a, ENV, np.zeros((2, count_parameters(a))), [0])
+        with pytest.raises(ConfigError, match="arch.layer_sizes"):
+            episode_trajectory(initial_genome(a), a, ENV, 1, 0)
+
+    def test_probes_accept_any_io(self):
+        a = rec_arch((4, 8, 3))
+        assert len(probe_activations(initial_genome(a), a, 2, n_points=5)) == 3
 
 
 class TestPopulationEvaluator:

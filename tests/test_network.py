@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from evounits.architecture import Architecture, count_parameters
+from evounits.cartpole import BatchedSwingUp, SwingUpParams
 from evounits.errors import CheckpointError, ConfigError, DomainError
-from evounits.genome import encode, initial_genome
+from evounits.genome import decode, encode, initial_genome
 from evounits.network import (
     BatchedPolicy,
-    FfnnPolicy,
-    RandomNetwork,
     load_champion,
     sample_weights,
     save_champion,
     weight_checksum,
 )
 from evounits.neural_unit import NeuronMode, OutputKind
+from rollout_oracle import FullBatchPolicy
 
 
 def rec_arch(sizes=(5, 128, 64, 1), seed=1):
@@ -71,18 +71,20 @@ class TestWeights:
         )
 
 
-class TestRandomNetworkForward:
+class TestPolicyForward:
     def test_genome_length_check(self):
         a = simple_arch((2, 2, 1))
-        RandomNetwork(a, np.zeros(10))
+        BatchedPolicy(a, np.zeros(10))
         with pytest.raises(ConfigError, match="10"):
-            RandomNetwork(a, np.zeros(9))
+            BatchedPolicy(a, np.zeros(9))
+        with pytest.raises(ConfigError, match="10"):
+            BatchedPolicy(a, np.zeros((3, 9)))
 
     def test_zero_genome_zero_everything(self):
         a = rec_arch()
-        net = RandomNetwork(a, initial_genome(a))
+        net = BatchedPolicy(a, initial_genome(a))
         for obs in (np.zeros(5), np.ones(5), np.linspace(-1, 1, 5)):
-            assert np.array_equal(net.forward(obs), [0.0])
+            assert np.array_equal(net.forward(obs[None]), [[0.0]])
         for h in net.states:
             assert not h.any()
 
@@ -91,13 +93,13 @@ class TestRandomNetworkForward:
         rng = np.random.default_rng(0)
         a = simple_arch((3, 4, 2), seed=11)
         genome = np.tile([1.0, 0.0], a.n_neurons)
-        net = RandomNetwork(a, genome)
+        net = BatchedPolicy(a, genome)
 
         ffnn_arch = Architecture((3, 4, 2), NeuronMode.PLAIN_TANH)
         structured = [(w, np.zeros(w.shape[0])) for w in net.weights]
-        ffnn = FfnnPolicy(ffnn_arch, encode(structured, ffnn_arch))
+        ffnn = BatchedPolicy(ffnn_arch, encode(structured, ffnn_arch))
         for _ in range(10):
-            obs = rng.normal(size=3)
+            obs = rng.normal(size=(1, 3))
             # Input units apply an extra tanh to the raw observation.
             np.testing.assert_allclose(
                 net.forward(obs), ffnn.forward(np.tanh(obs)), atol=1e-12
@@ -106,8 +108,8 @@ class TestRandomNetworkForward:
     def test_recurrent_state_feedback_and_reset(self):
         a = rec_arch((2, 3, 1))
         rng = np.random.default_rng(5)
-        net = RandomNetwork(a, rng.normal(size=count_parameters(a)))
-        obs = np.array([0.3, -0.7])
+        net = BatchedPolicy(a, rng.normal(size=count_parameters(a)))
+        obs = np.array([[0.3, -0.7]])
         first = net.forward(obs)
         second = net.forward(obs)
         assert not np.array_equal(first, second)  # state feedback moved it
@@ -116,8 +118,8 @@ class TestRandomNetworkForward:
 
     def test_reset_idempotent(self):
         a = rec_arch((2, 3, 1))
-        net = RandomNetwork(a, np.random.default_rng(1).normal(size=count_parameters(a)))
-        net.forward(np.ones(2))
+        net = BatchedPolicy(a, np.random.default_rng(1).normal(size=count_parameters(a)))
+        net.forward(np.ones((1, 2)))
         net.reset_states()
         snapshot = [h.copy() for h in net.states]
         net.reset_states()
@@ -128,9 +130,10 @@ class TestRandomNetworkForward:
     def test_action_bounds(self):
         a = rec_arch((4, 6, 2))
         rng = np.random.default_rng(8)
-        net = RandomNetwork(a, rng.normal(0, 3, count_parameters(a)))
+        net = BatchedPolicy(a, rng.normal(0, 3, (2, count_parameters(a))))
         for _ in range(50):
-            action = net.forward(rng.normal(0, 2, 4))
+            action = net.forward(rng.normal(0, 2, (2, 4)))
+            assert action.shape == (2, 2)
             assert np.all(np.abs(action) <= 1.0)
 
     def test_sigmoid_output_bounds(self):
@@ -139,45 +142,44 @@ class TestRandomNetworkForward:
             output_kinds=(OutputKind.TANH, OutputKind.SIGMOID), weight_seed=2,
         )
         rng = np.random.default_rng(2)
-        net = RandomNetwork(a, rng.normal(0, 2, count_parameters(a)))
+        net = BatchedPolicy(a, rng.normal(0, 2, (2, count_parameters(a))))
         for _ in range(20):
-            act = net.forward(rng.normal(size=3))
-            assert -1.0 <= act[0] <= 1.0
-            assert 0.0 <= act[1] <= 1.0
-
-    def test_dimension_mismatch(self):
-        a = rec_arch((3, 4, 1))
-        net = RandomNetwork(a, initial_genome(a))
-        with pytest.raises(DomainError):
-            net.forward(np.zeros(4))
+            act = net.forward(rng.normal(size=(2, 3)))
+            assert np.all(np.abs(act[:, 0]) <= 1.0)
+            assert np.all((act[:, 1] >= 0.0) & (act[:, 1] <= 1.0))
 
     def test_nonfinite_obs_rejected(self):
-        a = rec_arch((3, 4, 1))
-        net = RandomNetwork(a, initial_genome(a))
-        with pytest.raises(DomainError):
-            net.forward(np.array([0.0, np.nan, 0.0]))
+        # A non-finite observation gives a non-finite action, which the env
+        # rejects before it touches the state.
+        a = rec_arch((5, 4, 1))
+        net = BatchedPolicy(a, np.random.default_rng(3).normal(size=count_parameters(a)))
+        env = BatchedSwingUp(SwingUpParams(), 1)
+        obs = env.reset([0])
+        obs[0, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            env.step(net.forward(obs)[:, 0])
 
     def test_seeded_reproducibility(self):
         a = rec_arch((3, 5, 2), seed=77)
         g = np.random.default_rng(4).normal(size=count_parameters(a))
-        obs_seq = np.random.default_rng(6).normal(size=(20, 3))
+        obs_seq = np.random.default_rng(6).normal(size=(20, 1, 3))
         runs = []
         for _ in range(2):
-            net = RandomNetwork(a, g)
+            net = BatchedPolicy(a, g)
             runs.append(np.stack([net.forward(o) for o in obs_seq]))
         assert np.array_equal(runs[0], runs[1])
 
 
-class TestFfnnPolicy:
+class TestPlainTanhPolicy:
     def test_zero_genome_zero_action(self):
         a = Architecture((4, 3, 2), NeuronMode.PLAIN_TANH)
-        ffnn = FfnnPolicy(a, initial_genome(a))
-        assert np.array_equal(ffnn.forward(np.ones(4)), np.zeros(2))
+        net = BatchedPolicy(a, initial_genome(a))
+        assert np.array_equal(net.forward(np.ones((1, 4))), np.zeros((1, 2)))
 
     def test_single_weight_reference(self):
         a = Architecture((1, 1), NeuronMode.PLAIN_TANH)
-        ffnn = FfnnPolicy(a, np.array([1.0, 0.0]))
-        assert ffnn.forward(np.array([0.5]))[0] == pytest.approx(
+        net = BatchedPolicy(a, np.array([1.0, 0.0]))
+        assert net.forward(np.array([[0.5]]))[0, 0] == pytest.approx(
             np.tanh(0.5), abs=1e-15
         )
 
@@ -185,16 +187,12 @@ class TestFfnnPolicy:
         a = Architecture((3, 4, 2), NeuronMode.PLAIN_TANH)
         rng = np.random.default_rng(9)
         g = rng.normal(size=count_parameters(a))
-        from evounits.genome import decode
-
         (w1, b1), (w2, b2) = decode(g, a)
         perm = [1, 0, 2, 3]
         permuted = encode([(w1[perm], b1[perm]), (w2[:, perm], b2)], a)
         obs = rng.normal(size=3)
-        np.testing.assert_allclose(
-            FfnnPolicy(a, g).forward(obs), FfnnPolicy(a, permuted).forward(obs),
-            atol=1e-12,
-        )
+        out = BatchedPolicy(a, np.stack([g, permuted])).forward(np.tile(obs, (2, 1)))
+        np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
 class TestBatchedPolicy:
@@ -204,15 +202,12 @@ class TestBatchedPolicy:
         rng = np.random.default_rng(12)
         genomes = rng.normal(0, 1, (4, count_parameters(a)))
         batched = BatchedPolicy(a, genomes)
-        singles = [
-            FfnnPolicy(a, g) if mode is NeuronMode.PLAIN_TANH else RandomNetwork(a, g)
-            for g in genomes
-        ]
+        singles = [FullBatchPolicy(a, g) for g in genomes]
         for _ in range(5):
-            obs = rng.normal(size=3)
+            obs = rng.normal(size=(1, 3))
             batch_out = batched.forward(np.tile(obs, (4, 1)))
             for i, pol in enumerate(singles):
-                np.testing.assert_allclose(batch_out[i], pol.forward(obs), atol=1e-12)
+                np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
     def test_reset_states(self):
         a = rec_arch((2, 3, 1))
@@ -230,11 +225,8 @@ class TestBatchedPolicy:
         rng = np.random.default_rng(13)
         genomes = rng.normal(0, 1, (4, count_parameters(a)))
         batched = BatchedPolicy(a, genomes)
-        singles = [
-            FfnnPolicy(a, g) if mode is NeuronMode.PLAIN_TANH else RandomNetwork(a, g)
-            for g in genomes
-        ]
-        obs_seq = rng.normal(size=(6, 3))
+        singles = [FullBatchPolicy(a, g) for g in genomes]
+        obs_seq = rng.normal(size=(6, 1, 3))
         for obs in obs_seq[:3]:
             batched.forward(np.tile(obs, (4, 1)))
             for pol in singles:
@@ -246,7 +238,7 @@ class TestBatchedPolicy:
             batch_out = batched.forward(np.tile(obs, (3, 1)))
             assert batch_out.shape == (3, 2)
             for i, pol in enumerate(kept):
-                np.testing.assert_allclose(batch_out[i], pol.forward(obs), atol=1e-12)
+                np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
     def test_reset_states_restores_dropped_rows(self):
         a = rec_arch((2, 3, 1))
@@ -299,4 +291,13 @@ class TestChampionCheckpoint:
         payload["genome"] = payload["genome"][:-1]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError):
+            load_champion(path)
+
+    def test_nonfinite_genome_rejected(self, tmp_path):
+        a = rec_arch((3, 4, 1), seed=5)
+        genome = initial_genome(a)
+        genome[7] = np.nan
+        path = tmp_path / "champ.json"
+        save_champion(path, a, genome)
+        with pytest.raises(CheckpointError, match="genome"):
             load_champion(path)

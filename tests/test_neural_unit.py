@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from evounits.errors import DomainError
 from evounits.neural_unit import (
     NeuronMode,
-    NeuronParams,
     OutputKind,
+    apply_output_kinds,
+    layer_step_recurrent,
+    layer_step_simple,
+)
+from unit_oracle import (
+    NeuronParams,
     activate_recurrent,
     activate_simple,
     output_nonlinearity,
@@ -137,3 +142,29 @@ class TestOutputNonlinearity:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             output_nonlinearity(float("nan"), OutputKind.TANH)
+
+
+class TestLayerStepsMatchScalarOracle:
+    def test_elementwise_equal(self):
+        rng = np.random.default_rng(0)
+        n = 5000
+        values = rng.normal(0, 3, (n, 2, 3))
+        x = rng.normal(0, 3, n)
+        h = rng.uniform(-1, 1, n)
+        out, h_new = layer_step_recurrent(np.moveaxis(values, (1, 2), (0, 1)), x, h)
+        want = [activate_recurrent(recurrent_params(v), xi, hi)
+                for v, xi, hi in zip(values, x, h)]
+        assert np.array_equal(out, [w[0] for w in want])
+        assert np.array_equal(h_new, [w[1] for w in want])
+
+        ab = values[:, 0, :2]
+        simple_out = layer_step_simple(ab.T, x)
+        assert np.array_equal(
+            simple_out, [activate_simple(simple_params(a, b), xi) for (a, b), xi in zip(ab, x)]
+        )
+
+        kinds = (OutputKind.TANH, OutputKind.SIGMOID)
+        z = rng.normal(0, 5, (n // 2, 2))
+        squashed = apply_output_kinds(z, kinds)
+        want = [[output_nonlinearity(v, k) for v, k in zip(row, kinds)] for row in z]
+        assert np.array_equal(squashed, want)
