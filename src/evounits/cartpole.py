@@ -72,9 +72,14 @@ def initial_state(params: SwingUpParams, seed):
     return np.array([0.0, 0.0, np.pi, 0.0]) + noise
 
 
-def step_reward(params: SwingUpParams, x, theta):
-    """Per-step reward in [0, 1]: upright-ness times centered-ness."""
-    r_theta = (np.cos(theta) + 1.0) / 2.0
+def step_reward(params: SwingUpParams, x, theta, cos_theta=None):
+    """Per-step reward in [0, 1]: upright-ness times centered-ness.
+
+    ``cos_theta``, when given, is ``np.cos(theta)`` computed by the caller.
+    """
+    if cos_theta is None:
+        cos_theta = np.cos(theta)
+    r_theta = (cos_theta + 1.0) / 2.0
     r_x = np.cos((x / params.x_threshold) * (np.pi / 2.0))
     return r_theta * np.maximum(r_x, 0.0)
 
@@ -105,34 +110,42 @@ class BatchedSwingUp:
         self.state = np.stack(cols, axis=1)
         self.t = 0
         self.done = np.zeros(self.n, dtype=bool)
-        return self._observe()
+        return self._observe(np.cos(self.state[2]))
 
-    def _observe(self):
+    def _observe(self, cos_theta):
+        """Rows of (x, x_dot, cos theta, sin theta, theta_dot)."""
         x, x_dot, theta, theta_dot = self.state
-        return np.stack([x, x_dot, np.cos(theta), np.sin(theta), theta_dot], axis=1)
+        obs = np.empty((x.size, self.obs_dim))
+        obs[:, 0] = x
+        obs[:, 1] = x_dot
+        obs[:, 2] = cos_theta
+        obs[:, 3] = np.sin(theta)
+        obs[:, 4] = theta_dot
+        return obs
 
     def step(self, actions):
         """Advance every held instance; returns (obs, reward, done) per instance."""
         if self.done.any():
             raise DomainError("step() on an ended episode; drop it with keep() or reset")
-        if not np.all(np.isfinite(actions)):
+        if not np.isfinite(actions).all():
             raise DomainError("actions must be finite")
         p = self.params
         force = np.clip(actions, -1.0, 1.0) * p.force_mag
-        x, x_dot, theta, theta_dot = self.state
         x_acc, theta_acc = accelerations(p, self.state, force)
-        x_dot = x_dot + x_acc * p.dt
-        theta_dot = theta_dot + theta_acc * p.dt
-        x = x + x_dot * p.dt
-        theta = theta + theta_dot * p.dt
-        self.state = np.stack([x, x_dot, theta, theta_dot])
+        # Semi-implicit Euler, updating the rows of the state in place.
+        x, x_dot, theta, theta_dot = self.state
+        x_dot += x_acc * p.dt
+        theta_dot += theta_acc * p.dt
+        x += x_dot * p.dt
+        theta += theta_dot * p.dt
         self.t += 1
-        reward = step_reward(p, x, theta)
+        cos_theta = np.cos(theta)
+        reward = step_reward(p, x, theta, cos_theta)
         if self.t >= p.max_steps:
             self.done = np.ones(x.shape, dtype=bool)
         else:
             self.done = np.abs(x) > p.x_threshold
-        return self._observe(), reward, self.done
+        return self._observe(cos_theta), reward, self.done
 
     def keep(self, mask):
         """Keep only the instances where ``mask`` is true, in order."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import pickle
 import sys
 from pathlib import Path
@@ -60,8 +61,17 @@ def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
         "out_dir": str(out_dir),
         "runner": runner,
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    # Written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint whole.
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_runner_checkpoint(path):

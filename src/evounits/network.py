@@ -45,6 +45,54 @@ def weight_checksum(weights) -> str:
     return digest.hexdigest()
 
 
+# Tables of bucket_table, keyed by (batch, fan_in, fan_out). A table is
+# built the first time a chunk of that batch size has fewer live rows, so
+# runs where every row stays live never probe.
+_BUCKETS = {}
+PROBE_SEED = 20240917
+PROBE_TRIALS = 32
+
+
+def _probe_buckets(batch, fan_in, fan_out):
+    """Powers of two b < batch whose b-row products match a batch-row product.
+
+    Each size is tried on PROBE_TRIALS random subsets of the rows of one
+    fixed-seed random (batch, fan_in) matrix, copied to the top of a
+    (batch, fan_in) buffer as the policy does; every row must match its row
+    of the batch-row product bitwise.
+    """
+    rng = np.random.default_rng(PROBE_SEED)
+    a = rng.normal(size=(batch, fan_in))
+    w_t = rng.normal(size=(fan_out, fan_in)).T
+    full = a @ w_t
+    buf = np.empty_like(a)
+    sizes = []
+    b = 1
+    while b < batch:
+        for _ in range(PROBE_TRIALS):
+            rows = np.sort(rng.choice(batch, b, replace=False))
+            buf[:b] = a[rows]
+            if not np.array_equal(buf[:b] @ w_t, full[rows]):
+                break
+        else:
+            sizes.append(b)
+        b *= 2
+    return sizes
+
+
+def bucket_table(batch, fan_in, fan_out):
+    """Per live row count m <= batch, the smallest verified bucket >= m, or
+    batch where none is; probed once per shape in this process."""
+    key = (batch, fan_in, fan_out)
+    table = _BUCKETS.get(key)
+    if table is None:
+        table = [batch] * (batch + 1)
+        for b in sorted(_probe_buckets(batch, fan_in, fan_out), reverse=True):
+            table[: b + 1] = [b] * (b + 1)
+        _BUCKETS[key] = table
+    return table
+
+
 def _all_tanh(kinds):
     return all(k is OutputKind.TANH for k in kinds)
 
@@ -73,7 +121,7 @@ class BatchedPolicy:
         else:
             self.weights = sample_weights(arch) if weights is None else weights
             self._all_params = [parameter_major(p, self.mode) for p in layers]
-            # Inputs of each weight product, scattered back to their rows.
+            # Live-row inputs of each weight product (see _weight_product).
             self._product_in = [np.zeros((self.batch, n)) for n in arch.layer_sizes[:-1]]
         self.reset_states()
 
@@ -96,16 +144,21 @@ class BatchedPolicy:
             self.states = [h[mask] for h in self.states]
 
     def _weight_product(self, k, x):
-        """x @ W_k.T for the live rows, computed over all B rows.
+        """x @ W_k.T for the live rows, bitwise as in a product over all B rows.
 
-        BLAS results for a row are not bitwise stable as the row count
-        changes, so the live rows go back to their places in a (B, n)
-        buffer and every product runs at B rows.
+        BLAS results for a row can change with the row count, so fewer live
+        rows run in the smallest bucket of :func:`bucket_table` that holds
+        them, or at B rows in their own places when no bucket does.
         """
         w_t = self.weights[k].T
-        if self.rows.size == self.batch:
+        m = x.shape[0]
+        if m == self.batch:
             return x @ w_t
         buf = self._product_in[k]
+        b = bucket_table(self.batch, *w_t.shape)[m]
+        if b < self.batch:
+            buf[:m] = x
+            return (buf[:b] @ w_t)[:m]
         buf[self.rows] = x
         return (buf @ w_t)[self.rows]
 

@@ -49,10 +49,11 @@ def layer_step_recurrent(values, x, h, out_fn=None):
     replaces tanh on the output row (used for configured output
     nonlinearities).
     """
-    z_out = values[0, 0] * x + values[0, 1] * h + values[0, 2]
-    z_state = values[1, 0] * x + values[1, 1] * h + values[1, 2]
-    out = np.tanh(z_out) if out_fn is None else out_fn(z_out)
-    return out, np.tanh(z_state)
+    z = values[:, 0] * x + values[:, 1] * h + values[:, 2]  # (2, ..., n)
+    if out_fn is None:
+        out, h_new = np.tanh(z)
+        return out, h_new
+    return out_fn(z[0]), np.tanh(z[1])
 
 
 def layer_step_simple(values, x, out_fn=None):

@@ -219,6 +219,29 @@ class TestResume:
         assert main(["resume", "--checkpoint", str(ckpt), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "x"), "--quiet"]) == 1
 
+    def test_crash_during_checkpoint_keeps_previous(self, trained_run, tmp_path,
+                                                     monkeypatch):
+        from evounits import cli
+
+        ckpt_dir = tmp_path / "checkpoints"
+        ckpt_dir.mkdir()
+        target = ckpt_dir / "runner.pkl"
+        shutil.copy(trained_run / "checkpoints" / "runner_gen2.pkl", target)
+        later = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen4.pkl")
+
+        def crashing_dump(obj, fh):
+            fh.write(b"partial checkpoint bytes")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.pickle, "dump", crashing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cli._save_runner_checkpoint(target, later["config"], tmp_path, later["runner"])
+        monkeypatch.undo()
+        assert [p.name for p in ckpt_dir.iterdir()] == ["runner.pkl"]
+        assert cli._load_runner_checkpoint(target)["runner"].generation == 2
+        assert main(["resume", "--checkpoint", str(target), "--out-dir",
+                     str(tmp_path / "resumed"), "--quiet"]) == 0
+
     def test_resume_missing_checkpoint(self, tmp_path):
         assert main(["resume", "--checkpoint", str(tmp_path / "nope.pkl"),
                      "--quiet"]) == 2
