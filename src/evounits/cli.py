@@ -41,17 +41,13 @@ HISTORY_COLUMNS = [
 ]
 
 
-def write_history_csv(path, history):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for rec in history:
-            writer.writerow([
-                rec.generation, rec.stage,
-                repr(rec.best_fitness), repr(rec.mean_fitness), repr(rec.std_fitness),
-                repr(rec.periodic_eval_mean), repr(rec.periodic_eval_std),
-                repr(rec.wallclock),
-            ])
+def _history_row(rec):
+    return [
+        rec.generation, rec.stage,
+        repr(rec.best_fitness), repr(rec.mean_fitness), repr(rec.std_fitness),
+        repr(rec.periodic_eval_mean), repr(rec.periodic_eval_std),
+        repr(rec.wallclock),
+    ]
 
 
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
@@ -136,6 +132,8 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         return report.mean, report.std
 
     def on_generation(r, rec):
+        history.writerow(_history_row(rec))
+        history_fh.flush()
         if r.generation % cfg.checkpoint_every == 0 or r.finished:
             _save_runner_checkpoint(
                 ckpt_dir / f"runner_gen{r.generation}.pkl", cfg, out_dir, r
@@ -147,8 +145,13 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
                 flush=True,
             )
 
-    result = runner.run(eval_fn, periodic_eval, on_generation)
-    write_history_csv(out_dir / "history.csv", result.history)
+    # One row per generation as it ends, so a run that fails keeps its history.
+    with open(out_dir / "history.csv", "w", newline="") as history_fh:
+        history = csv.writer(history_fh)
+        history.writerow(HISTORY_COLUMNS)
+        history.writerows(_history_row(rec) for rec in runner.history)
+        history_fh.flush()
+        result = runner.run(eval_fn, periodic_eval, on_generation)
 
     final_report = evaluate(
         result.champion, arch, env_params, cfg.final_eval_episodes,

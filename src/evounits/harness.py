@@ -24,7 +24,7 @@ from .neural_unit import (
     layer_step_simple,
     parameter_major,
 )
-from .network import BatchedPolicy, sample_weights
+from .network import BatchedPolicy
 
 # Evaluation episode seeds live far away from training seeds (which count up
 # from the master seed by generation).
@@ -99,11 +99,11 @@ def _episode_totals(net, env, seeds, trajectory=None):
     return totals
 
 
-def _rollout_chunk(arch, env_params, genomes, episode_seeds, weights=None):
-    """Mean episode score per candidate for one chunk of genomes."""
-    genomes = np.atleast_2d(genomes)
+def _rollout(arch, env_params, genomes, episode_seeds, chunk):
+    """Mean episode score per candidate for a run of whole chunks of
+    ``chunk`` genomes, all stepped together as one batch."""
     n = genomes.shape[0]
-    net = BatchedPolicy(arch, genomes, weights=weights)
+    net = BatchedPolicy(arch, genomes, chunk=chunk)
     env = BatchedSwingUp(env_params, n)
     totals = np.zeros(n)
     for seed in episode_seeds:
@@ -111,40 +111,36 @@ def _rollout_chunk(arch, env_params, genomes, episode_seeds, weights=None):
     return totals / len(episode_seeds)
 
 
-def _chunk_worker(args):
-    arch, env_params, genomes, episode_seeds = args
-    return _rollout_chunk(arch, env_params, genomes, episode_seeds)
+def _rollout_worker(args):
+    return _rollout(*args)
 
 
 def evaluate_population(arch, env_params, genomes, episode_seeds,
                         workers=1, pool=None):
     """Fitness for every candidate: mean total reward over the given seeds.
 
-    Work is split into fixed-size chunks; the worker count only controls how
-    many chunks run concurrently, never the math inside a chunk.
+    Candidates fall into fixed-size chunks, and a candidate's fitness depends
+    only on the size of its chunk. One worker steps every chunk together; a
+    pool gives each worker a contiguous run of whole chunks.
     """
     check_arch(arch)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-    chunks = [genomes[i : i + CHUNK_SIZE] for i in range(0, genomes.shape[0], CHUNK_SIZE)]
     if workers <= 1 and pool is None:
-        weights = None
-        if arch.neuron_mode is not NeuronMode.PLAIN_TANH:
-            weights = sample_weights(arch)
-        results = [
-            _rollout_chunk(arch, env_params, c, episode_seeds, weights=weights)
-            for c in chunks
-        ]
-    else:
-        payloads = [(arch, env_params, c, episode_seeds) for c in chunks]
-        owned = pool is None
+        return _rollout(arch, env_params, genomes, episode_seeds, CHUNK_SIZE)
+    n_chunks = -(-genomes.shape[0] // CHUNK_SIZE)
+    bounds = np.linspace(0, n_chunks, min(max(workers, 1), n_chunks) + 1).astype(int)
+    payloads = [
+        (arch, env_params, genomes[lo * CHUNK_SIZE : hi * CHUNK_SIZE], episode_seeds, CHUNK_SIZE)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    owned = pool is None
+    if owned:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return np.concatenate(list(pool.map(_rollout_worker, payloads)))
+    finally:
         if owned:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_chunk_worker, payloads))
-        finally:
-            if owned:
-                pool.shutdown()
-    return np.concatenate(results)
+            pool.shutdown()
 
 
 class PopulationEvaluator:
@@ -174,9 +170,9 @@ class PopulationEvaluator:
 
 
 def _episode_scores(genome, arch, env_params, seeds, trajectory=None):
-    """One episode of ``genome`` per seed, all in one batch."""
+    """One episode of ``genome`` per seed, all in one batch of chunks."""
     n = len(seeds)
-    net = BatchedPolicy(arch, np.tile(genome, (n, 1)))
+    net = BatchedPolicy(arch, np.broadcast_to(genome, (n, np.size(genome))), chunk=CHUNK_SIZE)
     return _episode_totals(net, BatchedSwingUp(env_params, n), seeds, trajectory)
 
 
@@ -188,12 +184,7 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
     check_arch(arch)
     genome = np.asarray(genome, dtype=np.float64)
     seeds = [base_seed + k for k in range(n_episodes)]
-    scores = []
-    # Batch episodes of the same genome; chunked like population evaluation.
-    for i in range(0, n_episodes, CHUNK_SIZE):
-        scores.extend(
-            float(s) for s in _episode_scores(genome, arch, env_params, seeds[i : i + CHUNK_SIZE])
-        )
+    scores = [float(s) for s in _episode_scores(genome, arch, env_params, seeds)]
     scores_arr = np.array(scores)
     return EvalReport(
         genome_id=genome_id,

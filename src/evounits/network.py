@@ -46,8 +46,8 @@ def weight_checksum(weights) -> str:
 
 
 # Tables of bucket_table, keyed by (batch, fan_in, fan_out). A table is
-# built the first time a chunk of that batch size has fewer live rows, so
-# runs where every row stays live never probe.
+# built the first time a product needs it, so a single chunk whose rows all
+# stay live never probes.
 _BUCKETS = {}
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
@@ -56,27 +56,24 @@ PROBE_TRIALS = 32
 def _probe_buckets(batch, fan_in, fan_out):
     """Powers of two b < batch whose b-row products match a batch-row product.
 
-    Each size is tried on PROBE_TRIALS random subsets of the rows of one
-    fixed-seed random (batch, fan_in) matrix, copied to the top of a
-    (batch, fan_in) buffer as the policy does; every row must match its row
-    of the batch-row product bitwise.
+    Each of PROBE_TRIALS trials draws a fresh fixed-seed random
+    (batch, fan_in) matrix. Every size not yet rejected is tried on a random
+    subset of its rows, copied to the top of a (batch, fan_in) buffer as the
+    policy does; every row must match its row of the batch-row product
+    bitwise.
     """
     rng = np.random.default_rng(PROBE_SEED)
-    a = rng.normal(size=(batch, fan_in))
     w_t = rng.normal(size=(fan_out, fan_in)).T
-    full = a @ w_t
-    buf = np.empty_like(a)
-    sizes = []
-    b = 1
-    while b < batch:
-        for _ in range(PROBE_TRIALS):
+    buf = np.empty((batch, fan_in))
+    sizes = [1 << i for i in range((batch - 1).bit_length())]
+    for _ in range(PROBE_TRIALS):
+        a = rng.normal(size=(batch, fan_in))
+        full = a @ w_t
+        for b in list(sizes):
             rows = np.sort(rng.choice(batch, b, replace=False))
             buf[:b] = a[rows]
             if not np.array_equal(buf[:b] @ w_t, full[rows]):
-                break
-        else:
-            sizes.append(b)
-        b *= 2
+                sizes.remove(b)
     return sizes
 
 
@@ -104,34 +101,35 @@ class BatchedPolicy:
     plain-tanh baseline each candidate carries its own weights. ``keep``
     drops rows whose episode has ended and ``reset_states`` brings all B
     rows back, so ``forward`` only ever computes running episodes.
-    ``rows`` holds the batch index of each live row.
+    ``rows`` holds the batch index of each live row. The batch is made of
+    consecutive chunks of ``chunk`` rows (the last may be shorter), and each
+    row's outputs are bitwise those of a batch of its chunk alone.
     """
 
-    def __init__(self, arch: Architecture, genomes, weights=None):
+    def __init__(self, arch: Architecture, genomes, chunk=None):
         self.arch = arch
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         self.batch = genomes.shape[0]
+        self.chunk = self.batch if chunk is None else min(chunk, self.batch)
         self.mode = arch.neuron_mode
-        layers = decode(genomes, arch)
+        self._layers = decode(genomes, arch)
         self._out_fn = None
         if not _all_tanh(arch.output_kinds):
             self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
-        if self.mode is NeuronMode.PLAIN_TANH:
-            self._all_layers = layers
-        else:
-            self.weights = sample_weights(arch) if weights is None else weights
-            self._all_params = [parameter_major(p, self.mode) for p in layers]
-            # Live-row inputs of each weight product (see _weight_product).
-            self._product_in = [np.zeros((self.batch, n)) for n in arch.layer_sizes[:-1]]
+        if self.mode is not NeuronMode.PLAIN_TANH:
+            self.weights = sample_weights(arch)
+            # Live-row inputs of each weight product (see _chunk_products).
+            self._product_in = [np.zeros((self.chunk, n)) for n in arch.layer_sizes[:-1]]
         self.reset_states()
 
     def reset_states(self):
         """Zero every neuron state and make all B rows live again."""
         self.rows = np.arange(self.batch)
         if self.mode is NeuronMode.PLAIN_TANH:
-            self.layers = self._all_layers
+            self.layers = self._layers
         else:
-            self.params = self._all_params
+            self.params = None  # so the B-row parameters are never held twice
+            self.params = [parameter_major(p, self.mode) for p in self._layers]
             self.states = [np.zeros((self.batch, n)) for n in self.arch.layer_sizes]
 
     def keep(self, mask):
@@ -140,27 +138,61 @@ class BatchedPolicy:
         if self.mode is NeuronMode.PLAIN_TANH:
             self.layers = [(w[mask], b[mask]) for w, b in self.layers]
         else:
-            self.params = [p.compress(mask, axis=-2) for p in self.params]
+            # One layer at a time, for the same reason as in reset_states.
+            for k, p in enumerate(self.params):
+                self.params[k] = p.compress(mask, axis=-2)
             self.states = [h[mask] for h in self.states]
 
     def _weight_product(self, k, x):
-        """x @ W_k.T for the live rows, bitwise as in a product over all B rows.
+        """x @ W_k.T for the live rows, each row bitwise as in a product over
+        the rows of its own chunk.
 
-        BLAS results for a row can change with the row count, so fewer live
-        rows run in the smallest bucket of :func:`bucket_table` that holds
-        them, or at B rows in their own places when no bucket does.
+        BLAS results for a row can change with the row count, so only a
+        single chunk with every row live multiplies directly. Otherwise the
+        live rows of the full-size chunks and those of a short last chunk
+        each go through :meth:`_chunk_products` at their chunk's size.
         """
         w_t = self.weights[k].T
         m = x.shape[0]
-        if m == self.batch:
+        if m == self.batch == self.chunk:
             return x @ w_t
+        full = self.batch - self.batch % self.chunk
+        cut = int(np.searchsorted(self.rows, full))
+        parts = []
+        if cut:
+            parts += self._chunk_products(k, x[:cut], self.rows[:cut], self.chunk)
+        if cut < m:
+            parts += self._chunk_products(k, x[cut:], self.rows[cut:] - full, self.batch - full)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _chunk_products(self, k, x, rows, size):
+        """Products of the live rows ``x`` of chunks of ``size`` rows, where
+        ``rows`` counts from the first row of these chunks.
+
+        The rows go in order, mixing chunks, into pieces of at most the
+        largest bucket of :func:`bucket_table` below ``size``; each piece
+        runs at the smallest bucket that holds it. Where no bucket
+        qualifies, each chunk's rows run at ``size`` rows in their own
+        places.
+        """
+        w_t = self.weights[k].T
         buf = self._product_in[k]
-        b = bucket_table(self.batch, *w_t.shape)[m]
-        if b < self.batch:
-            buf[:m] = x
-            return (buf[:b] @ w_t)[:m]
-        buf[self.rows] = x
-        return (buf @ w_t)[self.rows]
+        table = bucket_table(size, *w_t.shape)
+        top = table.index(size) - 1  # the largest bucket, or -1
+        parts = []
+        if top > 0:
+            for i in range(0, len(x), top):
+                p = min(top, len(x) - i)
+                buf[:p] = x[i : i + p]
+                parts.append((buf[: table[p]] @ w_t)[:p])
+            return parts
+        chunk_of = rows // size
+        for c in np.unique(chunk_of):
+            sel = chunk_of == c
+            local = rows[sel] - c * size
+            buf[local] = x[sel]
+            parts.append((buf[:size] @ w_t)[local])
+        return parts
 
     def forward(self, obs):
         """obs: (live rows, obs_dim) -> actions (live rows, action_dim)."""

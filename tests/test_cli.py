@@ -81,6 +81,26 @@ class TestTrain:
         champ2 = json.loads((out2 / "champion.json").read_text())
         assert champ1["genome"] == champ2["genome"]
 
+    def test_history_streams_until_a_failed_generation(self, tmp_path, monkeypatch):
+        from evounits import cli
+
+        score = cli.PopulationEvaluator.__call__
+
+        def fails_at_generation_3(self, genomes, generation):
+            if generation == 3:
+                raise FloatingPointError("injected failure")
+            return score(self, genomes, generation)
+
+        monkeypatch.setattr(cli.PopulationEvaluator, "__call__", fails_at_generation_3)
+        cfg = write_config(tmp_path / "cfg.yaml")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 2
+        assert (out / "failed_genomes_gen3.npy").exists()
+        history = (out / "history.csv").read_text().strip().splitlines()
+        assert len(history) == 1 + 3
+        assert [row.split(",")[0] for row in history[1:]] == ["0", "1", "2"]
+
     def test_invalid_schedule_rejected_before_compute(self, tmp_path):
         cfg = write_config(tmp_path / "bad.yaml", **{
             "optimizer.ga_generations": 10, "optimizer.total_generations": 4,

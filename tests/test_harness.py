@@ -124,7 +124,8 @@ class TestPopulationEvaluator:
         np.testing.assert_allclose(full, chunked, atol=1e-12)
 
     def test_two_workers_bitwise_equal_to_one(self, monkeypatch):
-        # Chunks go to the pool, and each worker drops ended episodes itself.
+        # Three chunks (4, 4 and 2 rows) go to the pool as runs of whole
+        # chunks, one and two, and each worker drops ended episodes itself.
         from evounits import harness
 
         monkeypatch.setattr(harness, "CHUNK_SIZE", 4)

@@ -11,7 +11,7 @@ import pytest
 
 import rollout_oracle as oracle
 from evounits import harness, network
-from evounits.architecture import Architecture
+from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.harness import evaluate, evaluate_population
 from evounits.network import bucket_table, sample_weights
@@ -60,6 +60,21 @@ def test_no_bucket_means_full_batch_products(fresh_buckets, monkeypatch):
     assert sorted({key[0] for key in network._BUCKETS}) == [40, 128]
     for (batch, _, _), table in network._BUCKETS.items():
         assert table == [batch] * (batch + 1)
+
+
+def test_probe_of_a_two_row_chunk(fresh_buckets, monkeypatch):
+    # A probe that drew every trial from one fixed matrix reused its two rows
+    # at batch 2 and accepted a 1-row bucket for the 4 -> 1 product, though
+    # 1-row and 2-row products round about half of all rows differently.
+    # Candidate 9, in the 2-row last chunk, then missed the oracle.
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
+    arch = Architecture((5, 8, 4, 1), NeuronMode.RECURRENT, weight_seed=1)
+    genomes = np.random.default_rng(10).normal(0, 1, (10, count_parameters(arch)))
+    env = SwingUpParams(max_steps=200, reset_noise=1.0)
+    want, _ = oracle.population_fitness(arch, env, genomes, [3, 4], harness.CHUNK_SIZE)
+    got = evaluate_population(arch, env, genomes, [3, 4])
+    assert (2, 4, 1) in network._BUCKETS  # the 2-row chunk used a table of its own
+    assert np.array_equal(got, want)
 
 
 def test_all_live_rollout_never_probes(fresh_buckets):

@@ -25,30 +25,36 @@ NOISY_ENV = SwingUpParams(max_steps=160, reset_noise=1.0)
 CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / "reference_champion.json"
 
 
-def staggered_population(arch, rng):
-    """168 candidates in two chunks of the production size.
+def staggered_population(arch, rng, chunks=1):
+    """``chunks`` staggered chunks of the production size, then 40 more.
 
     The first chunk is one zero genome, whose cart never leaves the rail,
     and 127 candidates whose output unit is pushed off centre by a bias of
     0.5 to 2.0 and only weakly coupled to the hidden layers, so they run off
     the rail at staggered steps and leave the zero genome as the last live
-    row. The second chunk is 40 plain random candidates.
+    row. Further chunks are drawn the same way with biases of 0.5 to 1.5 and
+    no zero genome, so their last episodes end well before the first
+    chunk's. The last 40 candidates are plain random ones.
     """
     dim = count_parameters(arch)
-    first = rng.normal(0, 1, (harness.CHUNK_SIZE, dim))
-    n = first.shape[0]
-    bias = np.linspace(0.5, 2.0, n) * np.where(np.arange(n) % 2, 1, -1)
-    if arch.neuron_mode is NeuronMode.RECURRENT:
-        first[:, -6:-4] *= 0.02  # input and state coefficients of the output row
-        first[:, -4] = bias
-    elif arch.neuron_mode is NeuronMode.SIMPLE:
-        first[:, -2] *= 0.02
-        first[:, -1] = bias
-    else:
-        first[:, -65:-1] *= 0.02  # output weights, then the output bias
-        first[:, -1] = bias
-    first[0] = 0.0
-    return np.concatenate([first, rng.normal(0, 1, (40, dim))])
+    n = harness.CHUNK_SIZE
+    sign = np.where(np.arange(n) % 2, 1, -1)
+    parts = []
+    for c in range(chunks):
+        part = rng.normal(0, 1, (n, dim))
+        bias = np.linspace(0.5, 2.0 if c == 0 else 1.5, n) * sign
+        if arch.neuron_mode is NeuronMode.RECURRENT:
+            part[:, -6:-4] *= 0.02  # input and state coefficients of the output row
+            part[:, -4] = bias
+        elif arch.neuron_mode is NeuronMode.SIMPLE:
+            part[:, -2] *= 0.02
+            part[:, -1] = bias
+        else:
+            part[:, -65:-1] *= 0.02  # output weights, then the output bias
+            part[:, -1] = bias
+        parts.append(part)
+    parts[0][0] = 0.0
+    return np.concatenate(parts + [rng.normal(0, 1, (40, dim))])
 
 
 @pytest.mark.parametrize("mode", list(NeuronMode))
@@ -64,6 +70,45 @@ def test_population_fitness_bitwise(mode):
         assert len(np.unique(ep_len)) >= 20
     got = evaluate_population(arch, ENV, genomes, seeds)
     assert np.array_equal(got, want)
+
+
+def live_counts(ep_len, steps):
+    """Live rows of one chunk at each step 1 .. steps."""
+    return np.count_nonzero(ep_len[:, None] >= np.arange(1, steps + 1), axis=0)
+
+
+@pytest.mark.parametrize("mode", list(NeuronMode))
+def test_three_chunk_population_bitwise(mode):
+    # All three chunks are stepped together; the weight products pack live
+    # rows of both full-size chunks into shared pieces and give the short
+    # chunk its own, and every row must still round as in its own chunk.
+    arch = Architecture(SIZES, mode, weight_seed=1)
+    genomes = staggered_population(arch, np.random.default_rng(0), chunks=2)
+    assert genomes.shape[0] == 2 * harness.CHUNK_SIZE + 40
+    seeds = [3, 4]
+    want, lengths = oracle.population_fitness(arch, ENV, genomes, seeds, harness.CHUNK_SIZE)
+    for s in range(len(seeds)):
+        first, second = lengths[s], lengths[2 + s]
+        assert second.max() + 20 <= first.max()  # the chunks end at different steps
+        assert len(np.unique(second)) >= 20
+        a, b = live_counts(first, ENV.max_steps), live_counts(second, ENV.max_steps)
+        # Steps where a piece of 64 rows must hold rows of both full chunks.
+        assert np.count_nonzero((a % 64 > 0) & (b > 0)) >= 20
+    got = evaluate_population(arch, ENV, genomes, seeds)
+    assert np.array_equal(got, want)
+
+
+def test_population_is_its_chunks_one_at_a_time():
+    arch = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
+    genomes = staggered_population(arch, np.random.default_rng(1), chunks=2)
+    seeds = [5]
+    whole = evaluate_population(arch, NOISY_ENV, genomes, seeds)
+    size = harness.CHUNK_SIZE
+    one_by_one = [
+        evaluate_population(arch, NOISY_ENV, genomes[i : i + size], seeds)
+        for i in range(0, genomes.shape[0], size)
+    ]
+    assert np.array_equal(whole, np.concatenate(one_by_one))
 
 
 @pytest.mark.parametrize("mode", list(NeuronMode))
