@@ -106,8 +106,10 @@ class BatchedSwingUp:
     def reset(self, seeds):
         if len(seeds) != self.n:
             raise ConfigError(f"need {self.n} seeds, got {len(seeds)}")
-        cols = [initial_state(self.params, s) for s in seeds]
-        self.state = np.stack(cols, axis=1)
+        # Each distinct seed is drawn once; a training generation shares one.
+        distinct, inverse = np.unique(seeds, return_inverse=True)
+        cols = np.stack([initial_state(self.params, int(s)) for s in distinct], axis=1)
+        self.state = cols.take(inverse, axis=1)
         self.t = 0
         self.done = np.zeros(self.n, dtype=bool)
         return self._observe(np.cos(self.state[2]))

@@ -229,7 +229,7 @@ def cmd_eval(args):
         f"over {report.n_episodes} episodes (base seed {report.base_seed})"
     )
     if args.dump_trajectory:
-        rows = episode_trajectory(genome, arch, env_params, args.episodes, args.seed)
+        rows = episode_trajectory(genome, arch, env_params, args.seed)
         with open(args.dump_trajectory, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "action", "reward"])
@@ -299,7 +299,7 @@ def build_parser():
     p_eval.add_argument("--config", help="env overrides from a config file")
     p_eval.add_argument("--out", default=None, help="eval report JSON path")
     p_eval.add_argument("--dump-trajectory", default=None,
-                        help="write one episode's trajectory CSV here")
+                        help="write the trajectory CSV of episode --seed here")
     p_eval.set_defaults(func=cmd_eval)
 
     p_probe = sub.add_parser("probe", help="per-neuron activation traces")

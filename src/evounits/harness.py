@@ -24,15 +24,11 @@ from .neural_unit import (
     layer_step_simple,
     parameter_major,
 )
-from .network import BatchedPolicy
+from .network import PRODUCT_ROWS, BatchedPolicy, rows_movable
 
 # Evaluation episode seeds live far away from training seeds (which count up
 # from the master seed by generation).
 EVAL_SEED_OFFSET = 1_000_000_007
-
-# Population evaluation always proceeds in fixed-size chunks so results are
-# bitwise independent of the worker count.
-CHUNK_SIZE = 128
 
 
 @dataclass
@@ -99,11 +95,10 @@ def _episode_totals(net, env, seeds, trajectory=None):
     return totals
 
 
-def _rollout(arch, env_params, genomes, episode_seeds, chunk):
-    """Mean episode score per candidate for a run of whole chunks of
-    ``chunk`` genomes, all stepped together as one batch."""
+def _rollout(arch, env_params, genomes, episode_seeds):
+    """Mean episode score per candidate, all stepped together as one batch."""
     n = genomes.shape[0]
-    net = BatchedPolicy(arch, genomes, chunk=chunk)
+    net = BatchedPolicy(arch, genomes)
     env = BatchedSwingUp(env_params, n)
     totals = np.zeros(n)
     for seed in episode_seeds:
@@ -115,32 +110,28 @@ def _rollout_worker(args):
     return _rollout(*args)
 
 
-def evaluate_population(arch, env_params, genomes, episode_seeds,
-                        workers=1, pool=None):
+def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     """Fitness for every candidate: mean total reward over the given seeds.
 
-    Candidates fall into fixed-size chunks, and a candidate's fitness depends
-    only on the size of its chunk. One worker steps every chunk together; a
-    pool gives each worker a contiguous run of whole chunks.
+    One worker steps the whole population together. A pool gives each
+    worker a contiguous split of the rows: an even one where
+    :func:`~evounits.network.rows_movable` holds, else one of whole
+    PRODUCT_ROWS-row blocks, so that each row keeps its place in its block
+    and its fitness stays bitwise independent of the worker count.
     """
     check_arch(arch)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-    if workers <= 1 and pool is None:
-        return _rollout(arch, env_params, genomes, episode_seeds, CHUNK_SIZE)
-    n_chunks = -(-genomes.shape[0] // CHUNK_SIZE)
-    bounds = np.linspace(0, n_chunks, min(max(workers, 1), n_chunks) + 1).astype(int)
-    payloads = [
-        (arch, env_params, genomes[lo * CHUNK_SIZE : hi * CHUNK_SIZE], episode_seeds, CHUNK_SIZE)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    owned = pool is None
-    if owned:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
+    # Probed here, the bucket tables pass to forked workers.
+    step = PRODUCT_ROWS if workers > 1 and not rows_movable(arch) else 1
+    units = -(-genomes.shape[0] // step)
+    parts = min(workers, units)
+    if parts <= 1:
+        return _rollout(arch, env_params, genomes, episode_seeds)
+    bounds = step * np.linspace(0, units, parts + 1).astype(int)
+    payloads = [(arch, env_params, genomes[lo:hi], episode_seeds)
+                for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
         return np.concatenate(list(pool.map(_rollout_worker, payloads)))
-    finally:
-        if owned:
-            pool.shutdown()
 
 
 class PopulationEvaluator:
@@ -170,9 +161,9 @@ class PopulationEvaluator:
 
 
 def _episode_scores(genome, arch, env_params, seeds, trajectory=None):
-    """One episode of ``genome`` per seed, all in one batch of chunks."""
+    """One episode of ``genome`` per seed, all in one batch."""
     n = len(seeds)
-    net = BatchedPolicy(arch, np.broadcast_to(genome, (n, np.size(genome))), chunk=CHUNK_SIZE)
+    net = BatchedPolicy(arch, np.broadcast_to(genome, (n, np.size(genome))))
     return _episode_totals(net, BatchedSwingUp(env_params, n), seeds, trajectory)
 
 
@@ -196,22 +187,14 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
     )
 
 
-def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams,
-                       n_episodes, base_seed):
+def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams, seed):
     """Per-step (t, x, x_dot, theta, theta_dot, action, reward) of episode
-    ``base_seed`` exactly as :func:`evaluate` with the same arguments runs it.
-
-    The episode is rolled out inside the evaluation's first chunk, because a
-    weight product's BLAS result for one row changes with the row count; so
-    the rewards sum bitwise to the evaluation's first score. With
-    ``n_episodes=1`` this is a batch of one.
-    """
-    if n_episodes < 1:
-        raise ConfigError("n_episodes: must be at least 1")
+    ``seed``, a batch of one. Where :func:`~evounits.network.rows_movable`
+    holds, the rewards sum bitwise to that episode's score in any
+    :func:`evaluate` that runs it."""
     check_arch(arch)
-    seeds = [base_seed + k for k in range(min(n_episodes, CHUNK_SIZE))]
     trajectory = []
-    _episode_scores(genome, arch, env_params, seeds, trajectory)
+    _episode_scores(genome, arch, env_params, [seed], trajectory)
     return trajectory
 
 

@@ -45,53 +45,82 @@ def weight_checksum(weights) -> str:
     return digest.hexdigest()
 
 
-# Tables of bucket_table, keyed by (batch, fan_in, fan_out). A table is
-# built the first time a product needs it, so a single chunk whose rows all
-# stay live never probes.
+# Every row of a frozen-weight product is bitwise as in a product of this
+# many rows, whatever the batch size, the live set or the worker split.
+PRODUCT_ROWS = 128
+
+# Tables of bucket_table, keyed by (fan_in, fan_out), and results of
+# prefix_verified, keyed by (fan_in, fan_out, m). Each is probed the first
+# time a product needs it.
 _BUCKETS = {}
+_PREFIXES = {}
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
 
 
-def _probe_buckets(batch, fan_in, fan_out):
-    """Powers of two b < batch whose b-row products match a batch-row product.
+def _probe_buckets(fan_in, fan_out):
+    """Powers of two b < PRODUCT_ROWS whose b-row products match a
+    PRODUCT_ROWS-row product, or none where its rows depend on their place.
 
     Each of PROBE_TRIALS trials draws a fresh fixed-seed random
-    (batch, fan_in) matrix. Every size not yet rejected is tried on a random
-    subset of its rows, copied to the top of a (batch, fan_in) buffer as the
-    policy does; every row must match its row of the batch-row product
-    bitwise.
+    (PRODUCT_ROWS, fan_in) matrix and row order; the reordered matrix must
+    give the reordered product bitwise. Each size b not yet rejected is
+    tried on the first b rows of that order, sorted and copied to the top
+    of a buffer as the policy does, and must match the full product bitwise.
     """
     rng = np.random.default_rng(PROBE_SEED)
     w_t = rng.normal(size=(fan_out, fan_in)).T
-    buf = np.empty((batch, fan_in))
-    sizes = [1 << i for i in range((batch - 1).bit_length())]
+    buf = np.empty((PRODUCT_ROWS, fan_in))
+    sizes = [1 << i for i in range((PRODUCT_ROWS - 1).bit_length())]
     for _ in range(PROBE_TRIALS):
-        a = rng.normal(size=(batch, fan_in))
+        a = rng.normal(size=(PRODUCT_ROWS, fan_in))
         full = a @ w_t
+        perm = rng.permutation(PRODUCT_ROWS)
+        if not np.array_equal(a[perm] @ w_t, full[perm]):
+            return []
         for b in list(sizes):
-            rows = np.sort(rng.choice(batch, b, replace=False))
+            rows = np.sort(perm[:b])
             buf[:b] = a[rows]
             if not np.array_equal(buf[:b] @ w_t, full[rows]):
                 sizes.remove(b)
     return sizes
 
 
-def bucket_table(batch, fan_in, fan_out):
-    """Per live row count m <= batch, the smallest verified bucket >= m, or
-    batch where none is; probed once per shape in this process."""
-    key = (batch, fan_in, fan_out)
+def bucket_table(fan_in, fan_out):
+    """Per live row count m <= PRODUCT_ROWS, the smallest verified bucket
+    >= m, or PRODUCT_ROWS where none is; probed once per shape in this
+    process."""
+    key = (fan_in, fan_out)
     table = _BUCKETS.get(key)
     if table is None:
-        table = [batch] * (batch + 1)
-        for b in sorted(_probe_buckets(batch, fan_in, fan_out), reverse=True):
+        table = [PRODUCT_ROWS] * (PRODUCT_ROWS + 1)
+        for b in sorted(_probe_buckets(fan_in, fan_out), reverse=True):
             table[: b + 1] = [b] * (b + 1)
         _BUCKETS[key] = table
     return table
 
 
-def _all_tanh(kinds):
-    return all(k is OutputKind.TANH for k in kinds)
+def rows_movable(arch: Architecture):
+    """Whether every weight product of ``arch`` has a verified bucket, so a
+    product row keeps its bits at any place in any batch (see
+    :func:`_probe_buckets`). Without products, rows never meet."""
+    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
+        return True
+    shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
+    return all(bucket_table(*shape)[1] < PRODUCT_ROWS for shape in shapes)
+
+
+def prefix_verified(fan_in, fan_out, m):
+    """Whether an m-row product gives the first m rows of a
+    PRODUCT_ROWS-row product bitwise, in each of PROBE_TRIALS fixed-seed
+    random trials; probed once per shape and m in this process."""
+    key = (fan_in, fan_out, m)
+    if key not in _PREFIXES:
+        rng = np.random.default_rng(PROBE_SEED)
+        w_t = rng.normal(size=(fan_out, fan_in)).T
+        trials = (rng.normal(size=(PRODUCT_ROWS, fan_in)) for _ in range(PROBE_TRIALS))
+        _PREFIXES[key] = all(np.array_equal(a[:m] @ w_t, (a @ w_t)[:m]) for a in trials)
+    return _PREFIXES[key]
 
 
 class BatchedPolicy:
@@ -101,25 +130,24 @@ class BatchedPolicy:
     plain-tanh baseline each candidate carries its own weights. ``keep``
     drops rows whose episode has ended and ``reset_states`` brings all B
     rows back, so ``forward`` only ever computes running episodes.
-    ``rows`` holds the batch index of each live row. The batch is made of
-    consecutive chunks of ``chunk`` rows (the last may be shorter), and each
-    row's outputs are bitwise those of a batch of its chunk alone.
+    ``rows`` holds the batch index of each live row. A row's outputs depend
+    on its own genome and inputs alone, and on its index modulo
+    PRODUCT_ROWS only where :func:`rows_movable` fails.
     """
 
-    def __init__(self, arch: Architecture, genomes, chunk=None):
+    def __init__(self, arch: Architecture, genomes):
         self.arch = arch
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         self.batch = genomes.shape[0]
-        self.chunk = self.batch if chunk is None else min(chunk, self.batch)
         self.mode = arch.neuron_mode
         self._layers = decode(genomes, arch)
         self._out_fn = None
-        if not _all_tanh(arch.output_kinds):
+        if not all(k is OutputKind.TANH for k in arch.output_kinds):
             self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
         if self.mode is not NeuronMode.PLAIN_TANH:
             self.weights = sample_weights(arch)
-            # Live-row inputs of each weight product (see _chunk_products).
-            self._product_in = [np.zeros((self.chunk, n)) for n in arch.layer_sizes[:-1]]
+            # Live-row inputs of each weight product (see _weight_product).
+            self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
         self.reset_states()
 
     def reset_states(self):
@@ -144,55 +172,40 @@ class BatchedPolicy:
             self.states = [h[mask] for h in self.states]
 
     def _weight_product(self, k, x):
-        """x @ W_k.T for the live rows, each row bitwise as in a product over
-        the rows of its own chunk.
+        """x @ W_k.T for the live rows, each row bitwise as in a
+        PRODUCT_ROWS-row product.
 
-        BLAS results for a row can change with the row count, so only a
-        single chunk with every row live multiplies directly. Otherwise the
-        live rows of the full-size chunks and those of a short last chunk
-        each go through :meth:`_chunk_products` at their chunk's size.
+        An all-live batch of more than PRODUCT_ROWS // 2 rows runs in place,
+        padded to PRODUCT_ROWS rows unless :func:`prefix_verified` holds.
+        Any other live set goes in order into pieces of at most the largest
+        bucket, each run at the smallest bucket that holds it. Where no
+        bucket verifies, each PRODUCT_ROWS-row block of the batch runs at
+        PRODUCT_ROWS rows with its live rows at their own places.
         """
         w_t = self.weights[k].T
         m = x.shape[0]
-        if m == self.batch == self.chunk:
-            return x @ w_t
-        full = self.batch - self.batch % self.chunk
-        cut = int(np.searchsorted(self.rows, full))
-        parts = []
-        if cut:
-            parts += self._chunk_products(k, x[:cut], self.rows[:cut], self.chunk)
-        if cut < m:
-            parts += self._chunk_products(k, x[cut:], self.rows[cut:] - full, self.batch - full)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _chunk_products(self, k, x, rows, size):
-        """Products of the live rows ``x`` of chunks of ``size`` rows, where
-        ``rows`` counts from the first row of these chunks.
-
-        The rows go in order, mixing chunks, into pieces of at most the
-        largest bucket of :func:`bucket_table` below ``size``; each piece
-        runs at the smallest bucket that holds it. Where no bucket
-        qualifies, each chunk's rows run at ``size`` rows in their own
-        places.
-        """
-        w_t = self.weights[k].T
         buf = self._product_in[k]
-        table = bucket_table(size, *w_t.shape)
-        top = table.index(size) - 1  # the largest bucket, or -1
+        if m == self.batch <= PRODUCT_ROWS < 2 * m:
+            if m == PRODUCT_ROWS or prefix_verified(*w_t.shape, m):
+                return x @ w_t
+            buf[:m] = x
+            return (buf @ w_t)[:m]
+        table = bucket_table(*w_t.shape)
+        top = table.index(PRODUCT_ROWS) - 1  # the largest bucket, or -1
         parts = []
         if top > 0:
-            for i in range(0, len(x), top):
-                p = min(top, len(x) - i)
+            for i in range(0, m, top):
+                p = min(top, m - i)
                 buf[:p] = x[i : i + p]
                 parts.append((buf[: table[p]] @ w_t)[:p])
-            return parts
-        chunk_of = rows // size
-        for c in np.unique(chunk_of):
-            sel = chunk_of == c
-            local = rows[sel] - c * size
-            buf[local] = x[sel]
-            parts.append((buf[:size] @ w_t)[local])
-        return parts
+        else:
+            block_of = self.rows // PRODUCT_ROWS
+            for c in np.unique(block_of):
+                sel = block_of == c
+                local = self.rows[sel] - c * PRODUCT_ROWS
+                buf[local] = x[sel]
+                parts.append((buf @ w_t)[local])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def forward(self, obs):
         """obs: (live rows, obs_dim) -> actions (live rows, action_dim)."""

@@ -3,12 +3,16 @@ batch has ended, with unit parameters in the per-unit (B, n, 2, 3) layout.
 
 This is the rollout as it stood before live-row compaction. Ended episodes
 freeze their state and earn zero reward while the rest of the batch runs
-on, so every weight product and unit step covers all B rows. The golden
-tests compare the production rollout with it bitwise.
+on, so every weight product and unit step covers all B rows. Batches hold
+at most ``network.PRODUCT_ROWS`` rows, and each weight product is padded to
+that many rows with every row in place, which is the rounding the
+production rollout promises for every row. The golden tests compare the
+production rollout with it bitwise.
 """
 
 import numpy as np
 
+from evounits import network
 from evounits.architecture import count_parameters
 from evounits.cartpole import accelerations, initial_state, step_reward
 from evounits.genome import decode
@@ -73,14 +77,23 @@ class FreezingSwingUp:
         return self._observe(), reward, self.done.copy()
 
 
+def padded_product(x, w):
+    """x @ w.T with the rows of x in place in a PRODUCT_ROWS-row product."""
+    buf = np.zeros((network.PRODUCT_ROWS, x.shape[1]))
+    buf[: len(x)] = x
+    return (buf @ w.T)[: len(x)]
+
+
 class FullBatchPolicy:
-    """Forward pass over all B rows, unit parameters as (B, n, 2, 3)."""
+    """Forward pass over all B <= PRODUCT_ROWS rows, unit parameters as
+    (B, n, 2, 3)."""
 
     def __init__(self, arch, genomes):
         self.arch = arch
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         assert genomes.shape[1] == count_parameters(arch)
         self.batch = genomes.shape[0]
+        assert self.batch <= network.PRODUCT_ROWS
         self.mode = arch.neuron_mode
         self._out_fn = None
         if any(k is not OutputKind.TANH for k in arch.output_kinds):
@@ -119,7 +132,7 @@ class FullBatchPolicy:
         last = self.arch.n_layers - 1
         recurrent = self.mode is NeuronMode.RECURRENT
         for k in range(self.arch.n_layers):
-            pre = x if k == 0 else x @ self.weights[k - 1].T
+            pre = x if k == 0 else padded_product(x, self.weights[k - 1])
             out_fn = self._out_fn if k == last else None
             if recurrent:
                 x, h_new = unit_step_recurrent(self.params[k], pre, self.states[k], out_fn)
@@ -144,13 +157,14 @@ def episode_totals(net, env, seeds):
     return totals, lengths
 
 
-def population_fitness(arch, env_params, genomes, episode_seeds, chunk_size):
-    """Mean score per candidate, in chunks of ``chunk_size``; also returns the
+def population_fitness(arch, env_params, genomes, episode_seeds):
+    """Mean score per candidate, in chunks of PRODUCT_ROWS; also returns the
     episode lengths per chunk (one array per chunk and seed)."""
     genomes = np.atleast_2d(genomes)
+    size = network.PRODUCT_ROWS
     fitness, lengths = [], []
-    for i in range(0, genomes.shape[0], chunk_size):
-        chunk = genomes[i : i + chunk_size]
+    for i in range(0, genomes.shape[0], size):
+        chunk = genomes[i : i + size]
         n = chunk.shape[0]
         net = FullBatchPolicy(arch, chunk)
         env = FreezingSwingUp(env_params, n)
@@ -163,12 +177,14 @@ def population_fitness(arch, env_params, genomes, episode_seeds, chunk_size):
     return np.concatenate(fitness), lengths
 
 
-def evaluation_scores(genome, arch, env_params, n_episodes, base_seed, chunk_size):
-    """Per-episode scores of one genome over seeds base_seed .. base_seed+n-1."""
+def evaluation_scores(genome, arch, env_params, n_episodes, base_seed):
+    """Per-episode scores of one genome over seeds base_seed .. base_seed+n-1,
+    in batches of PRODUCT_ROWS; also returns the episode lengths per batch."""
     seeds = [base_seed + k for k in range(n_episodes)]
+    size = network.PRODUCT_ROWS
     scores, lengths = [], []
-    for i in range(0, n_episodes, chunk_size):
-        batch_seeds = seeds[i : i + chunk_size]
+    for i in range(0, n_episodes, size):
+        batch_seeds = seeds[i : i + size]
         n = len(batch_seeds)
         net = FullBatchPolicy(arch, np.tile(genome, (n, 1)))
         totals, ep_len = episode_totals(net, FreezingSwingUp(env_params, n), batch_seeds)

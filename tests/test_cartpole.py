@@ -190,6 +190,14 @@ class TestBatchedEnv:
                 np.testing.assert_allclose(obs_b[i], obs_i[0], atol=1e-12)
                 assert rew_b[i] == pytest.approx(rew_i[0], abs=1e-12)
 
+    def test_reset_with_repeated_seeds(self):
+        p = SwingUpParams(reset_noise=1.0)
+        seeds = [5, 3, 5, 5, 3]
+        env = BatchedSwingUp(p, len(seeds))
+        env.reset(seeds)
+        want = np.stack([initial_state(p, s) for s in seeds], axis=1)
+        assert np.array_equal(env.state, want)
+
     def test_keep_drops_ended_rows(self):
         p = SwingUpParams(max_steps=1000)
         env = BatchedSwingUp(p, 3)
@@ -248,7 +256,7 @@ class TestRunEpisode:
         genome, arch = constant_policy_genome(0.0)
         report = evaluate(genome, arch, SwingUpParams(), 1, 5)
         assert 0.0 <= report.scores[0] <= 1000.0
-        steps = len(episode_trajectory(genome, arch, SwingUpParams(), 1, 5))
+        steps = len(episode_trajectory(genome, arch, SwingUpParams(), 5))
         assert steps <= 1000
 
     def test_zero_policy_scores_nothing(self):
@@ -261,13 +269,13 @@ class TestRunEpisode:
         r1 = evaluate(genome, arch, SwingUpParams(), 1, 8)
         r2 = evaluate(genome, arch, SwingUpParams(), 1, 8)
         assert r1.scores == r2.scores
-        t1 = episode_trajectory(genome, arch, SwingUpParams(), 1, 8)
-        t2 = episode_trajectory(genome, arch, SwingUpParams(), 1, 8)
+        t1 = episode_trajectory(genome, arch, SwingUpParams(), 8)
+        t2 = episode_trajectory(genome, arch, SwingUpParams(), 8)
         assert len(t1) == len(t2) < 1000  # the constant push runs off the rail
 
     def test_trajectory_recording(self):
         genome, arch = constant_policy_genome(0.5)
-        traj = episode_trajectory(genome, arch, SwingUpParams(max_steps=20), 1, 2)
+        traj = episode_trajectory(genome, arch, SwingUpParams(max_steps=20), 2)
         assert [row[0] for row in traj] == list(range(1, 21))
         assert len(traj[0]) == 7  # t, state(4), action, reward
         assert all(row[5] == 0.5 for row in traj)

@@ -10,7 +10,6 @@ import yaml
 import rollout_oracle as oracle
 from evounits.cartpole import SwingUpParams
 from evounits.cli import main
-from evounits.harness import CHUNK_SIZE
 from evounits.network import load_champion
 
 REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
@@ -178,9 +177,9 @@ class TestEval:
         assert len(lines) > 1
 
     def test_trajectory_is_episode_seed_of_the_eval(self, tmp_path):
-        # At 5-128-64-1 a one-row rollout rounds differently in the weight
-        # products than row 0 of the eval's three-row batch, and its reward
-        # sum differs in the last digits. Episode 22 runs off the rail early.
+        # The dump is a one-row rollout of episode --seed, and its rewards
+        # sum bitwise to that episode's score in the three-episode eval.
+        # Episode 22 runs off the rail early.
         out, traj = tmp_path / "r.json", tmp_path / "traj.csv"
         env = SwingUpParams(max_steps=150, reset_noise=0.5)
         cfg = write_config(tmp_path / "env.yaml", env={"max_steps": 150, "reset_noise": 0.5})
@@ -194,7 +193,7 @@ class TestEval:
             total += float(row["reward"])
         assert total == json.loads(out.read_text())["scores"][0]
         arch, genome, _ = load_champion(REFERENCE_CHAMPION)
-        _, lengths = oracle.evaluation_scores(genome, arch, env, 3, 22, CHUNK_SIZE)
+        _, lengths = oracle.evaluation_scores(genome, arch, env, 3, 22)
         assert len(rows) == lengths[0][0] < env.max_steps
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evounits import harness, network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError
@@ -49,8 +50,8 @@ class TestEvaluate:
         g = np.random.default_rng(3).normal(size=count_parameters(a))
         report = evaluate(g, a, ENV, 3, 7)
         for k, score in enumerate(report.scores):
-            traj = episode_trajectory(g, a, ENV, 1, 7 + k)
-            assert score == pytest.approx(sum(row[-1] for row in traj), abs=1e-9)
+            traj = episode_trajectory(g, a, ENV, 7 + k)
+            assert score == sum(row[-1] for row in traj)
 
     def test_zero_genome_scores_nothing(self):
         a = rec_arch()
@@ -69,8 +70,6 @@ class TestEvaluate:
         a = rec_arch()
         with pytest.raises(ConfigError):
             evaluate(initial_genome(a), a, ENV, 0, 0)
-        with pytest.raises(ConfigError):
-            episode_trajectory(initial_genome(a), a, ENV, 0, 0)
 
 
 class TestArchMustFitTask:
@@ -83,7 +82,7 @@ class TestArchMustFitTask:
         with pytest.raises(ConfigError, match="arch.layer_sizes"):
             evaluate_population(a, ENV, np.zeros((2, count_parameters(a))), [0])
         with pytest.raises(ConfigError, match="arch.layer_sizes"):
-            episode_trajectory(initial_genome(a), a, ENV, 1, 0)
+            episode_trajectory(initial_genome(a), a, ENV, 0)
 
     def test_probes_accept_any_io(self):
         a = rec_arch((4, 8, 3))
@@ -100,7 +99,7 @@ class TestPopulationEvaluator:
         seed = ev.seeds_for_generation(3)[0]
         for i, g in enumerate(genomes):
             solo = evaluate(g, a, ENV, 1, seed)
-            assert fits[i] == pytest.approx(solo.mean, abs=1e-9)
+            assert fits[i] == solo.mean
 
     def test_seeds_advance_with_generation(self):
         ev = PopulationEvaluator(rec_arch(), ENV, episodes_per_candidate=2,
@@ -109,32 +108,70 @@ class TestPopulationEvaluator:
         assert ev.seeds_for_generation(1) == [12, 13]
 
     def test_chunking_invariant(self):
-        # Fitness must not depend on how the population is chunked.
-        from evounits import harness
-
-        a = simple_arch()
-        genomes = np.random.default_rng(4).normal(0, 1, (10, count_parameters(a)))
-        full = evaluate_population(a, ENV, genomes, [3])
-        old = harness.CHUNK_SIZE
-        try:
-            harness.CHUNK_SIZE = 3
-            chunked = evaluate_population(a, ENV, genomes, [3])
-        finally:
-            harness.CHUNK_SIZE = old
-        np.testing.assert_allclose(full, chunked, atol=1e-12)
-
-    def test_two_workers_bitwise_equal_to_one(self, monkeypatch):
-        # Three chunks (4, 4 and 2 rows) go to the pool as runs of whole
-        # chunks, one and two, and each worker drops ended episodes itself.
-        from evounits import harness
-
-        monkeypatch.setattr(harness, "CHUNK_SIZE", 4)
-        a = rec_arch()
-        genomes = np.random.default_rng(10).normal(0, 1, (10, count_parameters(a)))
+        # Fitness must not depend on which candidates share a batch.
         env = SwingUpParams(max_steps=200, reset_noise=1.0)
+        for mode in NeuronMode:
+            a = Architecture((5, 8, 4, 1), mode, weight_seed=1)
+            genomes = np.random.default_rng(4).normal(0, 1, (300, count_parameters(a)))
+            full = evaluate_population(a, env, genomes, [3])
+            for cuts in ([10, 11, 200], [1, 129]):
+                split = [evaluate_population(a, env, g, [3]) for g in np.split(genomes, cuts)]
+                assert np.array_equal(np.concatenate(split), full), (mode, cuts)
+
+    def test_two_workers_bitwise_equal_to_one(self):
+        # Each worker takes a contiguous split of the rows and drops ended
+        # episodes itself: 300 rows (three 128-row blocks) in halves, and a
+        # population of 10, a single block, in splits of 3, 3 and 4.
+        a = rec_arch()
+        env = SwingUpParams(max_steps=200, reset_noise=1.0)
+        for n, workers in ((300, 2), (10, 3)):
+            genomes = np.random.default_rng(10).normal(0, 1, (n, count_parameters(a)))
+            serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
+            pooled = evaluate_population(a, env, genomes, [3, 4], workers=workers)
+            assert np.array_equal(pooled, serial), (n, workers)
+
+    def test_two_workers_without_buckets(self, monkeypatch):
+        # Where no bucket verifies, each row runs at its place in its
+        # 128-row block, and the pool splits at whole blocks to keep it.
+        monkeypatch.setattr(network, "_BUCKETS", {})
+        monkeypatch.setattr(network, "_probe_buckets", lambda *shape: [])
+        a = rec_arch()
+        env = SwingUpParams(max_steps=200, reset_noise=1.0)
+        genomes = np.random.default_rng(10).normal(0, 1, (300, count_parameters(a)))
         serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
         pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
         assert np.array_equal(pooled, serial)
+
+    @pytest.mark.parametrize("movable", [True, False])
+    def test_workers_split_evenly_or_at_blocks(self, monkeypatch, movable):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                sizes.append([len(p[2]) for p in payloads])
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "rows_movable", lambda arch: movable)
+        a = rec_arch()
+        env = SwingUpParams(max_steps=20)
+        for n, workers in ((300, 2), (300, 4), (100, 2)):
+            genomes = np.random.default_rng(10).normal(0, 1, (n, count_parameters(a)))
+            evaluate_population(a, env, genomes, [3], workers=workers)
+        if movable:
+            assert sizes == [[150, 150], [75, 75, 75, 75], [50, 50]]
+        else:
+            assert sizes == [[128, 172], [128, 128, 44]]
 
 
 class TestProbes:

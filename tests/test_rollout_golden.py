@@ -1,8 +1,8 @@
 """Golden bitwise tests: the production rollout, which steps only running
 episodes, against the full-batch oracle in ``rollout_oracle``.
 
-Arch 5-128-64-1 at the production chunk size, so the weight products run
-through the same BLAS kernels as training does.
+Arch 5-128-64-1 with populations of ``network.PRODUCT_ROWS``-row chunks,
+so the weight products run through the same BLAS kernels as training does.
 """
 
 from pathlib import Path
@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import rollout_oracle as oracle
-from evounits import harness
+from evounits import network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
-from evounits.harness import evaluate, evaluate_population
+from evounits.harness import episode_trajectory, evaluate, evaluate_population
 from evounits.network import load_champion
 from evounits.neural_unit import NeuronMode
 
@@ -26,7 +26,7 @@ CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / "reference_cha
 
 
 def staggered_population(arch, rng, chunks=1):
-    """``chunks`` staggered chunks of the production size, then 40 more.
+    """``chunks`` staggered chunks of PRODUCT_ROWS candidates, then 40 more.
 
     The first chunk is one zero genome, whose cart never leaves the rail,
     and 127 candidates whose output unit is pushed off centre by a bias of
@@ -37,7 +37,7 @@ def staggered_population(arch, rng, chunks=1):
     chunk's. The last 40 candidates are plain random ones.
     """
     dim = count_parameters(arch)
-    n = harness.CHUNK_SIZE
+    n = network.PRODUCT_ROWS
     sign = np.where(np.arange(n) % 2, 1, -1)
     parts = []
     for c in range(chunks):
@@ -59,11 +59,11 @@ def staggered_population(arch, rng, chunks=1):
 
 @pytest.mark.parametrize("mode", list(NeuronMode))
 def test_population_fitness_bitwise(mode):
-    assert harness.CHUNK_SIZE == 128
+    assert network.PRODUCT_ROWS == 128
     arch = Architecture(SIZES, mode, weight_seed=1)
     genomes = staggered_population(arch, np.random.default_rng(0))
     seeds = [3, 4]
-    want, lengths = oracle.population_fitness(arch, ENV, genomes, seeds, harness.CHUNK_SIZE)
+    want, lengths = oracle.population_fitness(arch, ENV, genomes, seeds)
     for ep_len in lengths[: len(seeds)]:  # both episodes of the first chunk
         assert np.count_nonzero(ep_len == ep_len.max()) == 1  # down to one live row
         assert ep_len.max() - np.sort(ep_len)[-2] >= 10
@@ -79,14 +79,14 @@ def live_counts(ep_len, steps):
 
 @pytest.mark.parametrize("mode", list(NeuronMode))
 def test_three_chunk_population_bitwise(mode):
-    # All three chunks are stepped together; the weight products pack live
-    # rows of both full-size chunks into shared pieces and give the short
-    # chunk its own, and every row must still round as in its own chunk.
+    # All three chunks are stepped together and the weight products pack
+    # live rows of every chunk into shared pieces, yet every row must still
+    # round as in a product of PRODUCT_ROWS rows.
     arch = Architecture(SIZES, mode, weight_seed=1)
     genomes = staggered_population(arch, np.random.default_rng(0), chunks=2)
-    assert genomes.shape[0] == 2 * harness.CHUNK_SIZE + 40
+    assert genomes.shape[0] == 2 * network.PRODUCT_ROWS + 40
     seeds = [3, 4]
-    want, lengths = oracle.population_fitness(arch, ENV, genomes, seeds, harness.CHUNK_SIZE)
+    want, lengths = oracle.population_fitness(arch, ENV, genomes, seeds)
     for s in range(len(seeds)):
         first, second = lengths[s], lengths[2 + s]
         assert second.max() + 20 <= first.max()  # the chunks end at different steps
@@ -103,7 +103,7 @@ def test_population_is_its_chunks_one_at_a_time():
     genomes = staggered_population(arch, np.random.default_rng(1), chunks=2)
     seeds = [5]
     whole = evaluate_population(arch, NOISY_ENV, genomes, seeds)
-    size = harness.CHUNK_SIZE
+    size = network.PRODUCT_ROWS
     one_by_one = [
         evaluate_population(arch, NOISY_ENV, genomes[i : i + size], seeds)
         for i in range(0, genomes.shape[0], size)
@@ -115,7 +115,7 @@ def test_population_is_its_chunks_one_at_a_time():
 def test_evaluate_bitwise(mode):
     arch = Architecture(SIZES, mode, weight_seed=1)
     genome = np.random.default_rng(1).normal(0, 1, count_parameters(arch))
-    want, lengths = oracle.evaluation_scores(genome, arch, NOISY_ENV, 40, 11, harness.CHUNK_SIZE)
+    want, lengths = oracle.evaluation_scores(genome, arch, NOISY_ENV, 40, 11)
     assert len(np.unique(lengths[0])) >= 10
     report = evaluate(genome, arch, NOISY_ENV, 40, 11)
     assert np.array_equal(report.scores, want)
@@ -126,7 +126,23 @@ def test_evaluate_all_live_champion_bitwise():
     # where no row ever leaves.
     arch, genome, _ = load_champion(CHAMPION)
     env = SwingUpParams(max_steps=300)
-    want, lengths = oracle.evaluation_scores(genome, arch, env, 12, 5, harness.CHUNK_SIZE)
+    want, lengths = oracle.evaluation_scores(genome, arch, env, 12, 5)
     assert np.all(lengths[0] == env.max_steps)
     report = evaluate(genome, arch, env, 12, 5)
     assert np.array_equal(report.scores, want)
+
+
+def test_episode_score_is_independent_of_its_batch():
+    # The reference champion's seed-17 episode once scored 930.5448,
+    # 930.6186 and 930.4742 in a 1-, 3- and 100-episode eval, because each
+    # batch size rounded the weight products differently. It must score the
+    # same at any row of any batch: row 0 of 1, 3 and 100 episodes, row 2 of
+    # 3 and row 17 of 100.
+    arch, genome, _ = load_champion(CHAMPION)
+    env = SwingUpParams()
+    scores = {(n, base): evaluate(genome, arch, env, n, base).scores[17 - base]
+              for n, base in ((1, 17), (3, 17), (100, 17), (3, 15), (100, 0))}
+    total = 0.0
+    for row in episode_trajectory(genome, arch, env, 17):
+        total += row[-1]
+    assert scores == dict.fromkeys(scores, total)
