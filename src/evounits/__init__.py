@@ -25,7 +25,6 @@ from .optimizers import (
     OpenEs,
     PipelineConfig,
     PipelineRunner,
-    run_pipeline,
 )
 
 __version__ = "0.1.0"

@@ -221,6 +221,17 @@ def _sweep(params_layer, mode, inputs):
     return outputs, states
 
 
+def _probed_layer_params(genome, arch: Architecture, layer):
+    """Decoded unit parameters of one layer, for the direct-input probes."""
+    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
+        raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
+    if not (0 <= layer < arch.n_layers):
+        raise ConfigError(
+            f"layer: index {layer} out of range for {arch.n_layers} layers"
+        )
+    return decode(genome, arch)[layer]
+
+
 def probe_activations(genome, arch: Architecture, layer, n_points=1000,
                       lo=-3.0, hi=3.0):
     """Per-neuron response traces for one layer of a unit-mode network.
@@ -228,13 +239,7 @@ def probe_activations(genome, arch: Architecture, layer, n_points=1000,
     Inputs go directly into the units (bypassing the random weights), in
     ascending order; neuron states are zeroed first.
     """
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
-    if not (0 <= layer < arch.n_layers):
-        raise ConfigError(
-            f"layer: index {layer} out of range for {arch.n_layers} layers"
-        )
-    params = decode(genome, arch)[layer]
+    params = _probed_layer_params(genome, arch, layer)
     inputs = np.linspace(lo, hi, n_points)
     outputs, states = _sweep(params, arch.neuron_mode, inputs)
     traces = []
@@ -258,11 +263,7 @@ def compare_orderings(genome, arch: Architecture, layer, n_points=1000,
     Stateless units diverge by exactly zero; state-coupled units generally do
     not, which is the history-dependence signature.
     """
-    if not (0 <= layer < arch.n_layers):
-        raise ConfigError(
-            f"layer: index {layer} out of range for {arch.n_layers} layers"
-        )
-    params = decode(genome, arch)[layer]
+    params = _probed_layer_params(genome, arch, layer)
     inputs = np.linspace(lo, hi, n_points)
     out_asc, _ = _sweep(params, arch.neuron_mode, inputs)
     out_desc, _ = _sweep(params, arch.neuron_mode, inputs[::-1])

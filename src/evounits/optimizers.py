@@ -80,7 +80,9 @@ class CmaEs:
         n = self.dim = len(x0)
         if sigma0 <= 0:
             raise ConfigError("sigma0: must be positive")
-        self.popsize = int(popsize) if popsize else 4 + int(3 * math.log(n))
+        self.popsize = 4 + int(3 * math.log(n)) if popsize is None else int(popsize)
+        if self.popsize < 2:
+            raise ConfigError("popsize: CMA-ES needs at least 2 candidates")
         lam = self.popsize
         mu = lam // 2
         w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
@@ -106,18 +108,12 @@ class CmaEs:
         self.generation = 0
         self.rng = np.random.default_rng(seed)
 
-        self._eig_basis = np.eye(n)
-        self._eig_scale = np.ones(n)
-        self._eig_stale_gens = 0
-        # Eigendecomposition refresh cadence (lazy update, standard heuristic).
-        self._eig_gap = max(1, int(1.0 / ((self.c1 + self.cmu) * n * 10.0)))
-
         self.best = x0.copy()
         self.best_fitness = -np.inf
         self._pending = None
 
     def _update_eigensystem(self):
-        self.cov = (self.cov + self.cov.T) / 2.0
+        """Eigenbasis and axis scales (square-rooted eigenvalues) of C."""
         evals, basis = np.linalg.eigh(self.cov)
         floor = max(evals.max(), 0.0) * 1e-14 + 1e-300
         if evals[0] < floor:
@@ -126,23 +122,20 @@ class CmaEs:
             )
             evals = np.maximum(evals, floor)
             self.cov = (basis * evals) @ basis.T
-        self._eig_basis = basis
-        self._eig_scale = np.sqrt(evals)
-        self._eig_stale_gens = 0
+        return basis, np.sqrt(evals)
 
     def ask(self):
-        if self._eig_stale_gens >= self._eig_gap or self.generation == 0:
-            self._update_eigensystem()
+        basis, scale = self._update_eigensystem()
         z = self.rng.standard_normal((self.popsize, self.dim))
-        y = z @ (self._eig_basis * self._eig_scale).T
-        self._pending = y
+        y = z @ (basis * scale).T
+        self._pending = y, basis, scale
         return self.mean + self.sigma * y
 
     def tell(self, fitnesses):
         if self._pending is None:
             raise DomainError("tell() before ask()")
         f = _check_fitnesses(fitnesses, self.popsize)
-        y = self._pending
+        y, basis, scale = self._pending
         self._pending = None
         n = self.dim
 
@@ -155,7 +148,7 @@ class CmaEs:
         y_w = self.weights @ y_sel
         self.mean = self.mean + self.sigma * y_w
 
-        inv_sqrt = (self._eig_basis / self._eig_scale) @ self._eig_basis.T
+        inv_sqrt = (basis / scale) @ basis.T
         self.p_sigma = (1 - self.cs) * self.p_sigma + math.sqrt(
             self.cs * (2 - self.cs) * self.mueff
         ) * (inv_sqrt @ y_w)
@@ -177,7 +170,6 @@ class CmaEs:
         self.cov = (self.cov + self.cov.T) / 2.0
         self.sigma *= math.exp((self.cs / self.damps) * (norm_ps / self.chi_n - 1))
         self.generation += 1
-        self._eig_stale_gens += 1
 
 
 def average_ranks(values):
@@ -261,8 +253,13 @@ class PipelineConfig:
                 "ga_generations: must be in 1..total_generations "
                 f"(got {self.ga_generations} vs {self.total_generations})"
             )
+        for field in ("ga_pop", "cmaes_pop", "openes_pop"):
+            if getattr(self, field) < 2:
+                raise ConfigError(f"{field}: must be at least 2")
         if self.eval_every < 1:
             raise ConfigError("eval_every: must be at least 1")
+        if self.eval_episodes < 1:
+            raise ConfigError("eval_episodes: must be at least 1")
 
 
 @dataclass
@@ -384,9 +381,3 @@ class PipelineRunner:
             history=self.history,
         )
 
-
-def run_pipeline(cfg: PipelineConfig, dim, x0, eval_population, periodic_eval=None,
-                 on_generation=None) -> PipelineResult:
-    """One-shot convenience wrapper around :class:`PipelineRunner`."""
-    runner = PipelineRunner(cfg, dim, x0)
-    return runner.run(eval_population, periodic_eval, on_generation)

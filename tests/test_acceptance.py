@@ -33,7 +33,7 @@ from evounits.optimizers import (
     GeneticAlgorithm,
     OpenEs,
     PipelineConfig,
-    run_pipeline,
+    PipelineRunner,
 )
 
 
@@ -145,11 +145,11 @@ class TestOptimizerOracles:
         wins = 0
         for seed in range(5):
             x0 = np.random.default_rng(1000 + seed).normal(0, 1, 50)
-            pipe = run_pipeline(
+            pipe = PipelineRunner(
                 PipelineConfig(total_generations=500, ga_generations=100,
                                ga_pop=512, cmaes_pop=128, seed=seed),
-                50, x0, lambda c, g: sphere(c),
-            )
+                50, x0,
+            ).run(lambda c, g: sphere(c))
             ga = GeneticAlgorithm(x0, popsize=512, seed=seed)
             for _ in range(500):
                 ga.tell(sphere(ga.ask()))

@@ -109,6 +109,16 @@ class TestTrain:
                      "--quiet"]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["ga_pop", "cmaes_pop", "openes_pop",
+                                       "eval_episodes"])
+    def test_bad_optimizer_size_rejected_before_compute(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "bad.yaml", **{f"optimizer.{field}": 0})
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert f"{field}: " in capsys.readouterr().err
+
     def test_arch_not_fitting_task_rejected_before_compute(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.yaml", **{"arch.layer_sizes": [5, 6, 4, 2]})
         out = tmp_path / "never"
@@ -214,9 +224,11 @@ class TestProbe:
 
 
 class TestResume:
-    def test_resume_matches_uninterrupted(self, trained_run, tmp_path):
-        # Restart from the generation-2 checkpoint in a fresh directory.
-        ckpt = trained_run / "checkpoints" / "runner_gen2.pkl"
+    # Generation 2 is the hand-over to CMA-ES; generation 3 is mid CMA stage.
+    @pytest.mark.parametrize("ckpt_name", ["runner_gen2.pkl", "runner_gen3.pkl"])
+    def test_resume_matches_uninterrupted(self, trained_run, tmp_path, ckpt_name):
+        # Restart from the checkpoint in a fresh directory.
+        ckpt = trained_run / "checkpoints" / ckpt_name
         out2 = tmp_path / "resumed"
         assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out2),
                      "--quiet"]) == 0

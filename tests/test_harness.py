@@ -254,6 +254,16 @@ class TestCompareOrderings:
         div = compare_orderings(encode(layers, a), a, 0)
         assert div.max_divergence > 0.0
 
+    def test_plain_tanh_rejected(self):
+        a = Architecture((5, 4, 1), NeuronMode.PLAIN_TANH)
+        with pytest.raises(ConfigError, match="neuron_mode"):
+            compare_orderings(np.zeros(count_parameters(a)), a, 0)
+
+    def test_layer_out_of_range_rejected(self):
+        a = rec_arch()
+        with pytest.raises(ConfigError, match="layer"):
+            compare_orderings(initial_genome(a), a, 4)
+
 
 class TestWriters:
     def test_eval_json_round_trip(self, tmp_path):

@@ -9,7 +9,6 @@ from evounits.optimizers import (
     PipelineConfig,
     PipelineRunner,
     average_ranks,
-    run_pipeline,
 )
 
 
@@ -144,6 +143,37 @@ class TestCmaEs:
         with pytest.raises(DomainError):
             es.tell(np.zeros(es.popsize))
 
+    def test_default_popsize_and_too_small_rejected(self):
+        assert CmaEs(np.zeros(10), seed=0).popsize == 4 + int(3 * np.log(10))
+        assert CmaEs(np.zeros(10), popsize=2, seed=0).popsize == 2
+        for popsize in (0, 1):
+            with pytest.raises(ConfigError, match="popsize"):
+                CmaEs(np.zeros(10), popsize=popsize, seed=0)
+
+    def test_pickle_holds_one_square_matrix(self):
+        import pickle
+
+        es = CmaEs(np.zeros(300), popsize=16, seed=0)
+        es.tell(sphere(es.ask()))
+        assert len(pickle.dumps(es)) < 1.1 * es.cov.nbytes
+
+    def test_pickle_round_trip_mid_run(self):
+        # A small population next to n: the lazy eigendecomposition cadence of
+        # the literature would skip generations here, so any eigensystem
+        # state kept across generations would have to survive the round trip.
+        import pickle
+
+        es = CmaEs(np.full(96, 0.5), sigma0=0.3, popsize=4, seed=11)
+        for _ in range(3):
+            es.tell(sphere(es.ask()))
+        clone = pickle.loads(pickle.dumps(es))
+        for _ in range(5):
+            x, x_clone = es.ask(), clone.ask()
+            assert np.array_equal(x, x_clone)
+            es.tell(sphere(x))
+            clone.tell(sphere(x_clone))
+            assert np.array_equal(es.cov, clone.cov)
+
 
 class TestOpenEs:
     def test_population_even_required(self):
@@ -212,7 +242,7 @@ class TestPipeline:
 
     def test_pure_ga_boundary(self):
         cfg = self.cfg(total_generations=10, ga_generations=10)
-        result = run_pipeline(cfg, 5, np.full(5, 2.0), _deterministic_eval)
+        result = PipelineRunner(cfg, 5, np.full(5, 2.0)).run(_deterministic_eval)
         assert all(rec.stage == "ga" for rec in result.history)
         assert len(result.history) == 10
 
@@ -224,7 +254,7 @@ class TestPipeline:
             evals.append(genome.copy())
             return sphere(genome), 0.0
 
-        result = run_pipeline(cfg, 5, np.zeros(5), _deterministic_eval, periodic)
+        result = PipelineRunner(cfg, 5, np.zeros(5)).run(_deterministic_eval, periodic)
         assert len(result.history) == 20
         gens_with_eval = [
             rec.generation for rec in result.history
@@ -236,18 +266,16 @@ class TestPipeline:
 
     def test_champion_is_best_periodic_eval(self):
         cfg = self.cfg()
-        result = run_pipeline(
-            cfg, 5, np.full(5, 3.0), _deterministic_eval,
-            lambda g: (sphere(g), 0.0),
+        result = PipelineRunner(cfg, 5, np.full(5, 3.0)).run(
+            _deterministic_eval, lambda g: (sphere(g), 0.0),
         )
         assert result.champion_eval_mean == pytest.approx(sphere(result.champion))
 
     def test_full_determinism(self):
         histories = []
         for _ in range(2):
-            result = run_pipeline(
-                self.cfg(), 6, np.full(6, 1.5), _deterministic_eval,
-                lambda g: (sphere(g), 0.0),
+            result = PipelineRunner(self.cfg(), 6, np.full(6, 1.5)).run(
+                _deterministic_eval, lambda g: (sphere(g), 0.0),
             )
             histories.append(
                 [(r.generation, r.stage, r.best_fitness, r.mean_fitness,
@@ -270,7 +298,7 @@ class TestPipeline:
             total_generations=5, optimizer_kind="openes", openes_pop=8,
             eval_every=2, seed=1,
         )
-        result = run_pipeline(cfg, 4, np.zeros(4), _deterministic_eval)
+        result = PipelineRunner(cfg, 4, np.zeros(4)).run(_deterministic_eval)
         assert all(rec.stage == "openes" for rec in result.history)
 
     def test_pipeline_beats_pure_ga_on_sphere(self):
@@ -279,11 +307,11 @@ class TestPipeline:
         for seed in range(5):
             rng = np.random.default_rng(seed + 100)
             x0 = rng.normal(0, 1, 50)
-            pipe = run_pipeline(
+            pipe = PipelineRunner(
                 PipelineConfig(total_generations=50, ga_generations=10,
                                ga_pop=64, cmaes_pop=16, seed=seed),
-                50, x0, _deterministic_eval,
-            )
+                50, x0,
+            ).run(_deterministic_eval)
             ga = GeneticAlgorithm(x0, popsize=64, seed=seed)
             for _ in range(50):
                 f = _deterministic_eval(ga.ask(), 0)
@@ -296,6 +324,19 @@ class TestPipeline:
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(total_generations=5, ga_generations=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ga_pop", 0), ("ga_pop", 1), ("cmaes_pop", 0), ("cmaes_pop", 1),
+        ("openes_pop", 0), ("openes_pop", 1), ("eval_episodes", 0),
+    ])
+    def test_bad_size_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            self.cfg(**{field: value})
+
+    def test_two_candidates_are_enough(self):
+        cfg = self.cfg(ga_pop=2, cmaes_pop=2, openes_pop=2, eval_episodes=1)
+        result = PipelineRunner(cfg, 3, np.zeros(3)).run(_deterministic_eval)
+        assert len(result.history) == 20
 
     def test_runner_pickle_round_trip(self):
         import pickle
