@@ -223,20 +223,27 @@ class TestProbe:
                      "--layer", "7", "--out-dir", str(tmp_path / "x")]) == 1
 
 
+def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
+    # Restart from the checkpoint in a fresh directory.
+    ckpt = trained_run / "checkpoints" / ckpt_name
+    out2 = tmp_path / "resumed"
+    assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out2),
+                 "--quiet"]) == 0
+    assert history_without_wallclock(trained_run / "history.csv") == \
+        history_without_wallclock(out2 / "history.csv")
+    champ1 = json.loads((trained_run / "champion.json").read_text())
+    champ2 = json.loads((out2 / "champion.json").read_text())
+    assert champ1["genome"] == champ2["genome"]
+
+
 class TestResume:
-    # Generation 2 is the hand-over to CMA-ES; generation 3 is mid CMA stage.
-    @pytest.mark.parametrize("ckpt_name", ["runner_gen2.pkl", "runner_gen3.pkl"])
-    def test_resume_matches_uninterrupted(self, trained_run, tmp_path, ckpt_name):
-        # Restart from the checkpoint in a fresh directory.
-        ckpt = trained_run / "checkpoints" / ckpt_name
-        out2 = tmp_path / "resumed"
-        assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out2),
-                     "--quiet"]) == 0
-        assert history_without_wallclock(trained_run / "history.csv") == \
-            history_without_wallclock(out2 / "history.csv")
-        champ1 = json.loads((trained_run / "champion.json").read_text())
-        champ2 = json.loads((out2 / "champion.json").read_text())
-        assert champ1["genome"] == champ2["genome"]
+    def test_resume_matches_uninterrupted(self, trained_run, tmp_path):
+        # Generation 2 is the hand-over to CMA-ES.
+        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen2.pkl")
+
+    def test_resume_mid_cma_matches_uninterrupted(self, trained_run, tmp_path):
+        # Generation 3 is mid CMA stage.
+        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen3.pkl")
 
     def test_resume_finished_run_is_noop(self, trained_run, capsys):
         ckpt = trained_run / "checkpoints" / "runner_gen4.pkl"
