@@ -18,7 +18,7 @@ from .network import (
     save_champion,
     weight_checksum,
 )
-from .neural_unit import NeuronMode, OutputKind
+from .neural_unit import NeuronMode
 from .optimizers import (
     CmaEs,
     GeneticAlgorithm,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .neural_unit import PARAMS_PER_NEURON, NeuronMode, OutputKind
+from .neural_unit import PARAMS_PER_NEURON, NeuronMode
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class Architecture:
 
     layer_sizes: tuple
     neuron_mode: NeuronMode
-    output_kinds: tuple = None
     weight_seed: int = 0
     weight_std: float = 0.5
 
@@ -29,15 +28,6 @@ class Architecture:
             raise ConfigError("layer_sizes: need at least input and output layers")
         if any(s < 1 for s in sizes):
             raise ConfigError(f"layer_sizes: every layer size must be >= 1, got {sizes}")
-        kinds = self.output_kinds
-        if kinds is None:
-            kinds = (OutputKind.TANH,) * sizes[-1]
-        kinds = tuple(kinds)
-        if len(kinds) != sizes[-1]:
-            raise ConfigError(
-                f"output_kinds: expected {sizes[-1]} entries, got {len(kinds)}"
-            )
-        object.__setattr__(self, "output_kinds", kinds)
         if not (0 <= int(self.weight_seed) < 2**64):
             raise ConfigError("weight_seed: must fit in an unsigned 64-bit integer")
         if self.weight_std <= 0:

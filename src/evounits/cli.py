@@ -29,7 +29,6 @@ from .harness import (
     write_trace_csv,
 )
 from .network import load_champion, save_champion
-from .neural_unit import NeuronMode
 from .optimizers import PipelineRunner
 
 RUNNER_SCHEMA_VERSION = 1
@@ -151,20 +150,20 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         history.writerow(HISTORY_COLUMNS)
         history.writerows(_history_row(rec) for rec in runner.history)
         history_fh.flush()
-        result = runner.run(eval_fn, periodic_eval, on_generation)
+        runner.run(eval_fn, periodic_eval, on_generation)
 
     final_report = evaluate(
-        result.champion, arch, env_params, cfg.final_eval_episodes,
+        runner.champion, arch, env_params, cfg.final_eval_episodes,
         cfg.master_seed + EVAL_SEED_OFFSET + FINAL_EVAL_SEED_SUBOFFSET,
         genome_id=f"{cfg.name}-champion",
     )
     save_champion(
-        out_dir / "champion.json", arch, result.champion,
+        out_dir / "champion.json", arch, runner.champion,
         eval_info={
             "mean": final_report.mean,
             "std": final_report.std,
             "n_episodes": final_report.n_episodes,
-            "periodic_eval_mean": result.champion_eval_mean,
+            "periodic_eval_mean": runner.champion_eval_mean,
         },
     )
     write_eval_json(out_dir / "eval.json", final_report)
@@ -211,7 +210,7 @@ def cmd_resume(args):
     out_dir = Path(args.out_dir) if args.out_dir else Path(payload["out_dir"])
     if args.workers is not None:
         cfg.run["workers"] = args.workers
-        cfg.validate()
+    cfg.validate()
     return _run_training(cfg, out_dir, runner=runner, quiet=args.quiet)
 
 
@@ -241,8 +240,6 @@ def cmd_eval(args):
 
 def cmd_probe(args):
     arch, genome, _ = load_champion(args.champion)
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        raise ConfigError("probe: champion is a plain-tanh baseline, no units to probe")
     traces = probe_activations(genome, arch, args.layer)
     divergence = compare_orderings(genome, arch, args.layer)
     out_dir = Path(args.out_dir)

@@ -10,7 +10,7 @@ import yaml
 from .architecture import Architecture
 from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
-from .neural_unit import NeuronMode, OutputKind
+from .neural_unit import NeuronMode
 from .optimizers import PipelineConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -38,12 +38,6 @@ class ExperimentConfig:
             mode = NeuronMode(d.pop("neuron_mode"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"arch.neuron_mode: {exc}") from exc
-        kinds = d.pop("output_kinds", None)
-        if kinds is not None:
-            try:
-                kinds = tuple(OutputKind(k) for k in kinds)
-            except ValueError as exc:
-                raise ConfigError(f"arch.output_kinds: {exc}") from exc
         if "layer_sizes" not in d:
             raise ConfigError("arch.layer_sizes: missing")
         layer_sizes = tuple(d.pop("layer_sizes"))
@@ -53,7 +47,6 @@ class ExperimentConfig:
         return Architecture(
             layer_sizes=layer_sizes,
             neuron_mode=mode,
-            output_kinds=kinds,
             weight_seed=self.seeds.get("weight_seed", 0),
             weight_std=weight_std,
         )

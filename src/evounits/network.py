@@ -14,8 +14,6 @@ from .errors import CheckpointError
 from .genome import decode
 from .neural_unit import (
     NeuronMode,
-    OutputKind,
-    apply_output_kinds,
     layer_step_recurrent,
     layer_step_simple,
     parameter_major,
@@ -141,9 +139,6 @@ class BatchedPolicy:
         self.batch = genomes.shape[0]
         self.mode = arch.neuron_mode
         self._layers = decode(genomes, arch)
-        self._out_fn = None
-        if not all(k is OutputKind.TANH for k in arch.output_kinds):
-            self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
         if self.mode is not NeuronMode.PLAIN_TANH:
             self.weights = sample_weights(arch)
             # Live-row inputs of each weight product (see _weight_product).
@@ -211,22 +206,16 @@ class BatchedPolicy:
         """obs: (live rows, obs_dim) -> actions (live rows, action_dim)."""
         x = np.asarray(obs, dtype=np.float64)
         if self.mode is NeuronMode.PLAIN_TANH:
-            last = len(self.layers) - 1
-            for k, (w, b) in enumerate(self.layers):
-                z = np.einsum("boi,bi->bo", w, x) + b
-                x = self._out_fn(z) if (k == last and self._out_fn) else np.tanh(z)
+            for w, b in self.layers:
+                x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
-        last = self.arch.n_layers - 1
         recurrent = self.mode is NeuronMode.RECURRENT
         for k in range(self.arch.n_layers):
             pre = x if k == 0 else self._weight_product(k - 1, x)
-            out_fn = self._out_fn if k == last else None
             if recurrent:
-                x, self.states[k] = layer_step_recurrent(
-                    self.params[k], pre, self.states[k], out_fn
-                )
+                x, self.states[k] = layer_step_recurrent(self.params[k], pre, self.states[k])
             else:
-                x = layer_step_simple(self.params[k], pre, out_fn)
+                x = layer_step_simple(self.params[k], pre)
         return x
 
 
@@ -234,17 +223,19 @@ def _arch_to_dict(arch: Architecture) -> dict:
     return {
         "layer_sizes": list(arch.layer_sizes),
         "neuron_mode": arch.neuron_mode.value,
-        "output_kinds": [k.value for k in arch.output_kinds],
         "weight_seed": int(arch.weight_seed),
         "weight_std": float(arch.weight_std),
     }
 
 
 def _arch_from_dict(d: dict) -> Architecture:
+    # Older files list an output nonlinearity per output; tanh is the only one.
+    kinds = d.get("output_kinds", ())
+    if any(k != "tanh" for k in kinds):
+        raise CheckpointError(f"arch.output_kinds: only tanh outputs exist, got {kinds}")
     return Architecture(
         layer_sizes=tuple(d["layer_sizes"]),
         neuron_mode=NeuronMode(d["neuron_mode"]),
-        output_kinds=tuple(OutputKind(k) for k in d["output_kinds"]),
         weight_seed=d["weight_seed"],
         weight_std=d["weight_std"],
     )

@@ -3,6 +3,7 @@
 A recurrent unit holds a 2x3 parameter matrix that maps the column vector
 [input, state, 1] through tanh to [output, new_state]. The simple variant
 keeps only a scale and a bias on the input, with no state feedback.
+Every unit, the network's output units included, squashes with tanh.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ class NeuronMode(enum.Enum):
     RECURRENT = "recurrent"
     SIMPLE = "simple"
     PLAIN_TANH = "tanh"
-
-
-class OutputKind(enum.Enum):
-    TANH = "tanh"
-    SIGMOID = "sigmoid"
 
 
 PARAMS_PER_NEURON = {
@@ -41,33 +37,17 @@ def parameter_major(values, mode: NeuronMode):
     return np.ascontiguousarray(np.moveaxis(values, range(nd - k, nd), range(k)))
 
 
-def layer_step_recurrent(values, x, h, out_fn=None):
+def layer_step_recurrent(values, x, h):
     """Vectorized recurrent step for a whole layer (or batch of layers).
 
     values: (2, 3, ..., n), parameter-major (see :func:`parameter_major`);
-    x and h: (..., n). Returns (out, h_new). When ``out_fn`` is given it
-    replaces tanh on the output row (used for configured output
-    nonlinearities).
+    x and h: (..., n). Returns (out, h_new).
     """
     z = values[:, 0] * x + values[:, 1] * h + values[:, 2]  # (2, ..., n)
-    if out_fn is None:
-        out, h_new = np.tanh(z)
-        return out, h_new
-    return out_fn(z[0]), np.tanh(z[1])
+    out, h_new = np.tanh(z)
+    return out, h_new
 
 
-def layer_step_simple(values, x, out_fn=None):
+def layer_step_simple(values, x):
     """Vectorized simple step: values (2, ..., n) holds the [scale, bias] planes."""
-    z = values[0] * x + values[1]
-    return np.tanh(z) if out_fn is None else out_fn(z)
-
-
-def apply_output_kinds(z, kinds):
-    """Apply per-output-neuron nonlinearities to pre-activations along the last axis."""
-    out = np.empty_like(z)
-    for j, kind in enumerate(kinds):
-        if kind is OutputKind.TANH:
-            out[..., j] = np.tanh(z[..., j])
-        else:
-            out[..., j] = 1.0 / (1.0 + np.exp(-z[..., j]))
-    return out
+    return np.tanh(values[0] * x + values[1])

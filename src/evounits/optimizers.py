@@ -256,6 +256,13 @@ class PipelineConfig:
         for field in ("ga_pop", "cmaes_pop", "openes_pop"):
             if getattr(self, field) < 2:
                 raise ConfigError(f"{field}: must be at least 2")
+        for field in ("ga_elite_frac", "ga_mutation_std", "cmaes_sigma0", "openes_sigma"):
+            if not getattr(self, field) > 0:
+                raise ConfigError(f"{field}: must be positive")
+        if max(1, round(self.ga_pop * self.ga_elite_frac)) >= self.ga_pop:
+            raise ConfigError("ga_elite_frac: must leave room for offspring")
+        if self.openes_pop % 2:
+            raise ConfigError("openes_pop: mirrored sampling needs an even population")
         if self.eval_every < 1:
             raise ConfigError("eval_every: must be at least 1")
         if self.eval_episodes < 1:
@@ -272,14 +279,6 @@ class GenerationRecord:
     periodic_eval_mean: float = float("nan")
     periodic_eval_std: float = float("nan")
     wallclock: float = 0.0
-
-
-@dataclass
-class PipelineResult:
-    champion: np.ndarray
-    champion_eval_mean: float
-    champion_eval_std: float
-    history: list
 
 
 class PipelineRunner:
@@ -365,7 +364,10 @@ class PipelineRunner:
         self._maybe_switch_stage()
         return rec
 
-    def run(self, eval_population, periodic_eval=None, on_generation=None) -> PipelineResult:
+    def run(self, eval_population, periodic_eval=None, on_generation=None):
+        """Step to the end of the schedule; returns the runner, whose
+        ``champion``, ``champion_eval_mean``/``_std`` and ``history`` hold
+        the outcome."""
         while not self.finished:
             rec = self.step(eval_population, periodic_eval)
             if on_generation is not None:
@@ -374,10 +376,5 @@ class PipelineRunner:
             # No periodic evaluation ran; fall back to the best training fitness.
             self.champion = np.array(self.optimizer.best)
             self.champion_eval_mean = float(self.optimizer.best_fitness)
-        return PipelineResult(
-            champion=self.champion,
-            champion_eval_mean=self.champion_eval_mean,
-            champion_eval_std=self.champion_eval_std,
-            history=self.history,
-        )
+        return self
 

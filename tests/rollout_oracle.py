@@ -17,21 +17,19 @@ from evounits.architecture import count_parameters
 from evounits.cartpole import accelerations, initial_state, step_reward
 from evounits.genome import decode
 from evounits.network import sample_weights
-from evounits.neural_unit import NeuronMode, OutputKind, apply_output_kinds
+from evounits.neural_unit import NeuronMode
 
 
-def unit_step_recurrent(values, x, h, out_fn=None):
+def unit_step_recurrent(values, x, h):
     """values: (..., n, 2, 3) per-unit matrices."""
     z_out = values[..., 0, 0] * x + values[..., 0, 1] * h + values[..., 0, 2]
     z_state = values[..., 1, 0] * x + values[..., 1, 1] * h + values[..., 1, 2]
-    out = np.tanh(z_out) if out_fn is None else out_fn(z_out)
-    return out, np.tanh(z_state)
+    return np.tanh(z_out), np.tanh(z_state)
 
 
-def unit_step_simple(values, x, out_fn=None):
+def unit_step_simple(values, x):
     """values: (..., n, 2) per-unit [scale, bias] rows."""
-    z = values[..., 0] * x + values[..., 1]
-    return np.tanh(z) if out_fn is None else out_fn(z)
+    return np.tanh(values[..., 0] * x + values[..., 1])
 
 
 class FreezingSwingUp:
@@ -95,9 +93,6 @@ class FullBatchPolicy:
         self.batch = genomes.shape[0]
         assert self.batch <= network.PRODUCT_ROWS
         self.mode = arch.neuron_mode
-        self._out_fn = None
-        if any(k is not OutputKind.TANH for k in arch.output_kinds):
-            self._out_fn = lambda z: apply_output_kinds(z, arch.output_kinds)
         if self.mode is NeuronMode.PLAIN_TANH:
             per_layer = [decode(g, arch) for g in genomes]
             self.layers = [
@@ -124,21 +119,17 @@ class FullBatchPolicy:
     def forward(self, obs):
         x = np.asarray(obs, dtype=np.float64)
         if self.mode is NeuronMode.PLAIN_TANH:
-            last = len(self.layers) - 1
-            for k, (w, b) in enumerate(self.layers):
-                z = np.einsum("boi,bi->bo", w, x) + b
-                x = self._out_fn(z) if (k == last and self._out_fn) else np.tanh(z)
+            for w, b in self.layers:
+                x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
-        last = self.arch.n_layers - 1
         recurrent = self.mode is NeuronMode.RECURRENT
         for k in range(self.arch.n_layers):
             pre = x if k == 0 else padded_product(x, self.weights[k - 1])
-            out_fn = self._out_fn if k == last else None
             if recurrent:
-                x, h_new = unit_step_recurrent(self.params[k], pre, self.states[k], out_fn)
+                x, h_new = unit_step_recurrent(self.params[k], pre, self.states[k])
                 self.states[k][:] = h_new
             else:
-                x = unit_step_simple(self.params[k], pre, out_fn)
+                x = unit_step_simple(self.params[k], pre)
         return x
 
 

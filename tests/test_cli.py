@@ -8,9 +8,12 @@ import pytest
 import yaml
 
 import rollout_oracle as oracle
+from evounits.architecture import Architecture
 from evounits.cartpole import SwingUpParams
 from evounits.cli import main
-from evounits.network import load_champion
+from evounits.genome import initial_genome
+from evounits.network import load_champion, save_champion
+from evounits.neural_unit import NeuronMode
 
 REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
     "reference_champion.json"
@@ -119,6 +122,22 @@ class TestTrain:
         assert not out.exists()
         assert f"{field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("ga_mutation_std", -1, "ga-cmaes"), ("ga_elite_frac", 0.99, "ga-cmaes"),
+        ("cmaes_sigma0", 0, "ga-cmaes"), ("openes_sigma", 0, "openes"),
+        ("openes_pop", 3, "openes"),
+    ])
+    def test_bad_optimizer_value_rejected_before_compute(self, tmp_path, capsys,
+                                                         field, value, kind):
+        cfg = write_config(tmp_path / "bad.yaml", **{
+            f"optimizer.{field}": value, "optimizer.optimizer_kind": kind,
+        })
+        out = tmp_path / "never"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert f"{field}: " in capsys.readouterr().err
+
     def test_arch_not_fitting_task_rejected_before_compute(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.yaml", **{"arch.layer_sizes": [5, 6, 4, 2]})
         out = tmp_path / "never"
@@ -127,11 +146,15 @@ class TestTrain:
         assert not out.exists()
         assert "arch.layer_sizes" in capsys.readouterr().err
 
-    def test_unknown_field_named_in_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "bad.yaml", **{"arch.bogus_field": 1})
-        assert main(["train", "--config", str(cfg), "--out-dir",
-                     str(tmp_path / "x"), "--quiet"]) == 1
-        assert "bogus_field" in capsys.readouterr().err
+    # Every unit squashes with tanh, so an output_kinds entry is unknown too.
+    @pytest.mark.parametrize("field", ["bogus_field", "output_kinds"])
+    def test_unknown_field_named_in_error(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "bad.yaml", **{f"arch.{field}": ["tanh"]})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert field in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml")
@@ -222,6 +245,16 @@ class TestProbe:
         assert main(["probe", "--champion", str(trained_run / "champion.json"),
                      "--layer", "7", "--out-dir", str(tmp_path / "x")]) == 1
 
+    def test_plain_tanh_champion_rejected(self, tmp_path, capsys):
+        arch = Architecture((5, 4, 1), NeuronMode.PLAIN_TANH)
+        champ = tmp_path / "ffnn.json"
+        save_champion(champ, arch, initial_genome(arch))
+        out = tmp_path / "x"
+        assert main(["probe", "--champion", str(champ), "--layer", "1",
+                     "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert "neuron_mode" in capsys.readouterr().err
+
 
 def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
     # Restart from the checkpoint in a fresh directory.
@@ -279,6 +312,19 @@ class TestResume:
         assert cli._load_runner_checkpoint(target)["runner"].generation == 2
         assert main(["resume", "--checkpoint", str(target), "--out-dir",
                      str(tmp_path / "resumed"), "--quiet"]) == 0
+
+    def test_checkpointed_output_kinds_rejected(self, trained_run, tmp_path, capsys):
+        from evounits import cli
+
+        payload = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen2.pkl")
+        payload["config"].arch["output_kinds"] = ["tanh"]
+        ckpt = tmp_path / "old.pkl"
+        cli._save_runner_checkpoint(ckpt, payload["config"], tmp_path, payload["runner"])
+        out = tmp_path / "resumed"
+        assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert "output_kinds" in capsys.readouterr().err
 
     def test_resume_missing_checkpoint(self, tmp_path):
         assert main(["resume", "--checkpoint", str(tmp_path / "nope.pkl"),

@@ -12,7 +12,7 @@ from evounits.network import (
     save_champion,
     weight_checksum,
 )
-from evounits.neural_unit import NeuronMode, OutputKind
+from evounits.neural_unit import NeuronMode
 from rollout_oracle import FullBatchPolicy
 
 
@@ -136,18 +136,6 @@ class TestPolicyForward:
             assert action.shape == (2, 2)
             assert np.all(np.abs(action) <= 1.0)
 
-    def test_sigmoid_output_bounds(self):
-        a = Architecture(
-            (3, 4, 2), NeuronMode.RECURRENT,
-            output_kinds=(OutputKind.TANH, OutputKind.SIGMOID), weight_seed=2,
-        )
-        rng = np.random.default_rng(2)
-        net = BatchedPolicy(a, rng.normal(0, 2, (2, count_parameters(a))))
-        for _ in range(20):
-            act = net.forward(rng.normal(size=(2, 3)))
-            assert np.all(np.abs(act[:, 0]) <= 1.0)
-            assert np.all((act[:, 1] >= 0.0) & (act[:, 1] <= 1.0))
-
     def test_nonfinite_obs_rejected(self):
         # A non-finite observation gives a non-finite action, which the env
         # rejects before it touches the state.
@@ -254,14 +242,20 @@ class TestBatchedPolicy:
 
 class TestChampionCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
+        import json
+
         a = rec_arch((3, 4, 1), seed=5)
         genome = np.random.default_rng(0).normal(size=count_parameters(a))
         path = tmp_path / "champ.json"
         save_champion(path, a, genome, eval_info={"mean": 1.0})
+        assert "output_kinds" not in json.loads(path.read_text())["arch"]
         arch2, genome2, info = load_champion(path)
         assert arch2 == a
         assert np.array_equal(genome, genome2)
         assert info["mean"] == 1.0
+        again = tmp_path / "again.json"
+        save_champion(again, arch2, genome2, eval_info=info)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_corrupted_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -300,4 +294,29 @@ class TestChampionCheckpoint:
         path = tmp_path / "champ.json"
         save_champion(path, a, genome)
         with pytest.raises(CheckpointError, match="genome"):
+            load_champion(path)
+
+    def older_file(self, tmp_path, kinds):
+        """A champion file in the older format, which lists one output
+        nonlinearity per output."""
+        import json
+
+        a = rec_arch((3, 4, 1), seed=5)
+        genome = np.random.default_rng(0).normal(size=count_parameters(a))
+        path = tmp_path / "champ.json"
+        save_champion(path, a, genome)
+        payload = json.loads(path.read_text())
+        payload["arch"]["output_kinds"] = kinds
+        path.write_text(json.dumps(payload))
+        return path, a, genome
+
+    def test_older_file_with_tanh_outputs_loads(self, tmp_path):
+        path, a, genome = self.older_file(tmp_path, ["tanh"])
+        arch2, genome2, _ = load_champion(path)
+        assert arch2 == a
+        assert np.array_equal(genome, genome2)
+
+    def test_non_tanh_output_kind_rejected(self, tmp_path):
+        path, _, _ = self.older_file(tmp_path, ["sigmoid"])
+        with pytest.raises(CheckpointError, match=r"arch\.output_kinds"):
             load_champion(path)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from evounits.errors import DomainError
 from evounits.neural_unit import (
     NeuronMode,
-    OutputKind,
-    apply_output_kinds,
     layer_step_recurrent,
     layer_step_simple,
 )
@@ -125,23 +123,16 @@ class TestActivateSimple:
 
 class TestOutputNonlinearity:
     def test_trivial_values(self):
-        assert output_nonlinearity(0.0, OutputKind.TANH) == 0.0
-        assert output_nonlinearity(0.0, OutputKind.SIGMOID) == 0.5
-
-    def test_sigmoid_reference(self):
-        assert output_nonlinearity(1.0, OutputKind.SIGMOID) == pytest.approx(
-            1.0 / (1.0 + math.exp(-1.0)), abs=1e-15
-        )
+        assert output_nonlinearity(0.0) == 0.0
 
     @given(raw=finite)
     @settings(max_examples=100)
     def test_ranges(self, raw):
-        assert -1.0 <= output_nonlinearity(raw, OutputKind.TANH) <= 1.0
-        assert 0.0 <= output_nonlinearity(raw, OutputKind.SIGMOID) <= 1.0
+        assert -1.0 <= output_nonlinearity(raw) <= 1.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            output_nonlinearity(float("nan"), OutputKind.TANH)
+            output_nonlinearity(float("nan"))
 
 
 class TestLayerStepsMatchScalarOracle:
@@ -162,9 +153,3 @@ class TestLayerStepsMatchScalarOracle:
         assert np.array_equal(
             simple_out, [activate_simple(simple_params(a, b), xi) for (a, b), xi in zip(ab, x)]
         )
-
-        kinds = (OutputKind.TANH, OutputKind.SIGMOID)
-        z = rng.normal(0, 5, (n // 2, 2))
-        squashed = apply_output_kinds(z, kinds)
-        want = [[output_nonlinearity(v, k) for v, k in zip(row, kinds)] for row in z]
-        assert np.array_equal(squashed, want)

@@ -328,6 +328,9 @@ class TestPipeline:
     @pytest.mark.parametrize("field, value", [
         ("ga_pop", 0), ("ga_pop", 1), ("cmaes_pop", 0), ("cmaes_pop", 1),
         ("openes_pop", 0), ("openes_pop", 1), ("eval_episodes", 0),
+        ("openes_pop", 3), ("ga_elite_frac", 0.97), ("ga_elite_frac", -0.1),
+        ("ga_mutation_std", 0.0), ("ga_mutation_std", -1.0), ("cmaes_sigma0", 0.0),
+        ("openes_sigma", 0.0), ("openes_sigma", float("nan")),
     ])
     def test_bad_size_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: "):

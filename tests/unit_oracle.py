@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evounits.errors import DomainError
-from evounits.neural_unit import NeuronMode, OutputKind
+from evounits.neural_unit import NeuronMode
 
 # Parameter matrix shapes per mode: (rows, cols).
 RECURRENT_SHAPE = (2, 3)
@@ -75,11 +75,7 @@ def activate_simple(params: NeuronParams, x: float) -> float:
     return float(np.tanh(a * x + b))
 
 
-def output_nonlinearity(raw: float, kind: OutputKind) -> float:
-    """Squash a pre-activation into [-1,1] (tanh) or [0,1] (sigmoid)."""
+def output_nonlinearity(raw: float) -> float:
+    """Squash a pre-activation into [-1, 1] with tanh, as every unit does."""
     _check_finite("raw", raw)
-    if kind is OutputKind.TANH:
-        return float(np.tanh(raw))
-    if kind is OutputKind.SIGMOID:
-        return float(1.0 / (1.0 + np.exp(-raw)))
-    raise DomainError(f"unknown output nonlinearity {kind!r}")
+    return float(np.tanh(raw))
