@@ -10,7 +10,7 @@ from .errors import (
     EvoUnitsError,
 )
 from .genome import decode, encode, initial_genome
-from .harness import EvalReport, compare_orderings, evaluate, probe_activations
+from .harness import EvalReport, LayerProbe, evaluate, probe_layer
 from .network import (
     BatchedPolicy,
     load_champion,

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,32 +22,23 @@ from .cartpole import SwingUpParams
 from .harness import (
     EVAL_SEED_OFFSET,
     PopulationEvaluator,
-    compare_orderings,
     episode_trajectory,
     evaluate,
-    probe_activations,
+    probe_layer,
     write_eval_json,
     write_trace_csv,
 )
 from .network import load_champion, save_champion
-from .optimizers import PipelineRunner
+from .optimizers import GenerationRecord, PipelineRunner
 
 RUNNER_SCHEMA_VERSION = 1
 FINAL_EVAL_SEED_SUBOFFSET = 100_000
 
-HISTORY_COLUMNS = [
-    "generation", "stage", "best_fitness", "mean_fitness", "std_fitness",
-    "periodic_eval_mean", "periodic_eval_std", "wallclock",
-]
+HISTORY_COLUMNS = [f.name for f in fields(GenerationRecord)]
 
 
 def _history_row(rec):
-    return [
-        rec.generation, rec.stage,
-        repr(rec.best_fitness), repr(rec.mean_fitness), repr(rec.std_fitness),
-        repr(rec.periodic_eval_mean), repr(rec.periodic_eval_std),
-        repr(rec.wallclock),
-    ]
+    return [v if isinstance(v, (int, str)) else repr(v) for v in astuple(rec)]
 
 
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
@@ -240,25 +232,25 @@ def cmd_eval(args):
 
 def cmd_probe(args):
     arch, genome, _ = load_champion(args.champion)
-    traces = probe_activations(genome, arch, args.layer)
-    divergence = compare_orderings(genome, arch, args.layer)
+    probe = probe_layer(genome, arch, args.layer)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"traces_layer{args.layer}.csv"
-    write_trace_csv(csv_path, traces)
+    write_trace_csv(csv_path, probe)
+    max_divergence = float(probe.divergence.max())
     with open(out_dir / f"divergence_layer{args.layer}.json", "w") as fh:
         json.dump(
             {
-                "layer": divergence.layer,
-                "max_divergence": divergence.max_divergence,
-                "per_neuron": [float(d) for d in divergence.divergence],
+                "layer": args.layer,
+                "max_divergence": max_divergence,
+                "per_neuron": [float(d) for d in probe.divergence],
             },
             fh,
             indent=2,
         )
     print(
-        f"layer {args.layer}: {len(traces)} neurons, "
-        f"max ordering divergence {divergence.max_divergence:.4f}"
+        f"layer {args.layer}: {probe.outputs.shape[1]} neurons, "
+        f"max ordering divergence {max_divergence:.4f}"
     )
     print(f"traces written to {csv_path}")
     return 0

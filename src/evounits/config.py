@@ -15,6 +15,14 @@ from .optimizers import PipelineConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Fields each free-form section may set; arch, env and optimizer are checked
+# against the objects they build.
+SECTION_FIELDS = {
+    "seeds": {"master_seed", "weight_seed"},
+    "evaluation": {"episodes_per_candidate", "final_eval_episodes"},
+    "run": {"checkpoint_every", "workers"},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,6 +87,12 @@ class ExperimentConfig:
 
     def validate(self):
         """Materialize every derived object so bad fields fail up front."""
+        for section, known in SECTION_FIELDS.items():
+            unknown = set(getattr(self, section)) - known
+            if unknown:
+                raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
+        if self.master_seed < 0:
+            raise ConfigError("seeds.master_seed: must be >= 0")
         self.env_params()
         check_arch(self.architecture())
         self.pipeline()

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,45 +41,33 @@ class EvalReport:
     n_episodes: int
     base_seed: int
 
-    def to_dict(self):
-        return {
-            "genome_id": self.genome_id,
-            "scores": [float(s) for s in self.scores],
-            "mean": float(self.mean),
-            "std": float(self.std),
-            "n_episodes": self.n_episodes,
-            "base_seed": self.base_seed,
-        }
-
 
 @dataclass
-class ActivationTrace:
-    layer: int
-    neuron: int
+class LayerProbe:
+    """Responses of one layer's units to an input swept from lo up to hi.
+
+    ``outputs`` and ``states`` are (len(inputs), n), one column per unit;
+    ``states`` is None for simple (stateless) units. ``divergence`` holds,
+    per unit, the largest |upward - downward| output at equal input.
+    """
+
     inputs: np.ndarray
     outputs: np.ndarray
-    states: np.ndarray = None  # absent for simple (stateless) units
+    states: np.ndarray | None
+    divergence: np.ndarray
 
 
-@dataclass
-class OrderingDivergence:
-    layer: int
-    divergence: np.ndarray  # per neuron: max |ascending - descending| output
-    max_divergence: float = field(init=False)
-
-    def __post_init__(self):
-        self.max_divergence = float(self.divergence.max()) if len(self.divergence) else 0.0
-
-
-def _episode_totals(net, env, seeds, trajectory=None):
-    """Total reward of one episode per row, row i seeded by ``seeds[i]``.
+def _scores(arch, env_params, genomes, seeds, trajectory=None):
+    """Total reward of one episode per row: row i runs ``genomes[i]`` from
+    ``seeds[i]``, all stepped together as one batch.
 
     Only running episodes are stepped: rows whose episode ended leave both
     the policy and the env, and the loop stops when none is left. A
     ``trajectory`` list gets one (t, x, x_dot, theta, theta_dot, action,
     reward) tuple per step of row 0's episode.
     """
-    net.reset_states()
+    net = BatchedPolicy(arch, genomes)
+    env = BatchedSwingUp(env_params, len(seeds))
     obs = env.reset(seeds)
     totals = np.zeros(len(seeds))
     while net.rows.size:
@@ -95,19 +84,13 @@ def _episode_totals(net, env, seeds, trajectory=None):
     return totals
 
 
-def _rollout(arch, env_params, genomes, episode_seeds):
-    """Mean episode score per candidate, all stepped together as one batch."""
+def _mean_scores(arch, env_params, episode_seeds, genomes):
+    """Mean episode score per candidate, one batch per seed."""
     n = genomes.shape[0]
-    net = BatchedPolicy(arch, genomes)
-    env = BatchedSwingUp(env_params, n)
     totals = np.zeros(n)
     for seed in episode_seeds:
-        totals += _episode_totals(net, env, [seed] * n)
+        totals += _scores(arch, env_params, genomes, [seed] * n)
     return totals / len(episode_seeds)
-
-
-def _rollout_worker(args):
-    return _rollout(*args)
 
 
 def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
@@ -126,12 +109,12 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     units = -(-genomes.shape[0] // step)
     parts = min(workers, units)
     if parts <= 1:
-        return _rollout(arch, env_params, genomes, episode_seeds)
+        return _mean_scores(arch, env_params, episode_seeds, genomes)
     bounds = step * np.linspace(0, units, parts + 1).astype(int)
-    payloads = [(arch, env_params, genomes[lo:hi], episode_seeds)
-                for lo, hi in zip(bounds, bounds[1:])]
+    splits = [genomes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    rollout = partial(_mean_scores, arch, env_params, episode_seeds)
     with ProcessPoolExecutor(max_workers=parts) as pool:
-        return np.concatenate(list(pool.map(_rollout_worker, payloads)))
+        return np.concatenate(list(pool.map(rollout, splits)))
 
 
 class PopulationEvaluator:
@@ -160,22 +143,18 @@ class PopulationEvaluator:
         )
 
 
-def _episode_scores(genome, arch, env_params, seeds, trajectory=None):
-    """One episode of ``genome`` per seed, all in one batch."""
-    n = len(seeds)
-    net = BatchedPolicy(arch, np.broadcast_to(genome, (n, np.size(genome))))
-    return _episode_totals(net, BatchedSwingUp(env_params, n), seeds, trajectory)
-
-
 def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
              n_episodes, base_seed, genome_id="genome") -> EvalReport:
     """Score one genome over episodes seeded base_seed .. base_seed+n-1."""
     if n_episodes < 1:
         raise ConfigError("n_episodes: must be at least 1")
+    if base_seed < 0:
+        raise ConfigError(f"base_seed: must be non-negative, got {base_seed}")
     check_arch(arch)
     genome = np.asarray(genome, dtype=np.float64)
+    genomes = np.broadcast_to(genome, (n_episodes, genome.size))
     seeds = [base_seed + k for k in range(n_episodes)]
-    scores = [float(s) for s in _episode_scores(genome, arch, env_params, seeds)]
+    scores = [float(s) for s in _scores(arch, env_params, genomes, seeds)]
     scores_arr = np.array(scores)
     return EvalReport(
         genome_id=genome_id,
@@ -194,106 +173,61 @@ def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams, se
     :func:`evaluate` that runs it."""
     check_arch(arch)
     trajectory = []
-    _episode_scores(genome, arch, env_params, [seed], trajectory)
+    _scores(arch, env_params, genome, [seed], trajectory)
     return trajectory
 
 
-def _sweep(params_layer, mode, inputs):
-    """Run an ordered input sweep through every unit of one layer.
+def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
+                hi=3.0) -> LayerProbe:
+    """Sweep an input through every unit of one layer of a unit-mode network.
 
-    Returns (outputs, states) arrays of shape (len(inputs), n); states is
-    None for simple units. State starts at zero before the first input.
+    Inputs go directly into the units (bypassing the random weights), from
+    lo up to hi and, as a second batch row, from hi down to lo; neuron
+    states are zeroed first. Stateless units diverge by exactly zero;
+    state-coupled units generally do not, which is the history-dependence
+    signature.
     """
-    params_layer = parameter_major(params_layer, mode)
-    n = params_layer.shape[-1]
-    steps = len(inputs)
-    outputs = np.empty((steps, n))
-    if mode is NeuronMode.SIMPLE:
-        for t, x in enumerate(inputs):
-            outputs[t] = layer_step_simple(params_layer, x)
-        return outputs, None
-    states = np.empty((steps, n))
-    h = np.zeros(n)
-    for t, x in enumerate(inputs):
-        out, h = layer_step_recurrent(params_layer, np.full(n, x), h)
-        outputs[t] = out
-        states[t] = h
-    return outputs, states
-
-
-def _probed_layer_params(genome, arch: Architecture, layer):
-    """Decoded unit parameters of one layer, for the direct-input probes."""
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
+    mode = arch.neuron_mode
+    if mode is NeuronMode.PLAIN_TANH:
         raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
     if not (0 <= layer < arch.n_layers):
         raise ConfigError(
             f"layer: index {layer} out of range for {arch.n_layers} layers"
         )
-    return decode(genome, arch)[layer]
-
-
-def probe_activations(genome, arch: Architecture, layer, n_points=1000,
-                      lo=-3.0, hi=3.0):
-    """Per-neuron response traces for one layer of a unit-mode network.
-
-    Inputs go directly into the units (bypassing the random weights), in
-    ascending order; neuron states are zeroed first.
-    """
-    params = _probed_layer_params(genome, arch, layer)
+    params = parameter_major(decode(genome, arch)[layer][None], mode)
+    n = params.shape[-1]
     inputs = np.linspace(lo, hi, n_points)
-    outputs, states = _sweep(params, arch.neuron_mode, inputs)
-    traces = []
-    for i in range(params.shape[0]):
-        traces.append(
-            ActivationTrace(
-                layer=layer,
-                neuron=i,
-                inputs=inputs.copy(),
-                outputs=outputs[:, i].copy(),
-                states=None if states is None else states[:, i].copy(),
-            )
-        )
-    return traces
-
-
-def compare_orderings(genome, arch: Architecture, layer, n_points=1000,
-                      lo=-3.0, hi=3.0) -> OrderingDivergence:
-    """Ascending vs. descending sweep divergence per neuron.
-
-    Stateless units diverge by exactly zero; state-coupled units generally do
-    not, which is the history-dependence signature.
-    """
-    params = _probed_layer_params(genome, arch, layer)
-    inputs = np.linspace(lo, hi, n_points)
-    out_asc, _ = _sweep(params, arch.neuron_mode, inputs)
-    out_desc, _ = _sweep(params, arch.neuron_mode, inputs[::-1])
-    # Align by input value: reverse the descending sweep.
-    diff = np.abs(out_asc - out_desc[::-1])
-    return OrderingDivergence(layer=layer, divergence=diff.max(axis=0))
+    sweeps = np.stack([inputs, inputs[::-1]], axis=1)[:, :, None]  # (t, row, 1)
+    outputs = np.empty((n_points, 2, n))
+    states = None
+    if mode is NeuronMode.SIMPLE:
+        for t, x in enumerate(sweeps):
+            outputs[t] = layer_step_simple(params, x)
+    else:
+        states = np.empty((n_points, 2, n))
+        h = np.zeros((2, n))
+        for t, x in enumerate(sweeps):
+            outputs[t], h = layer_step_recurrent(params, x, h)
+            states[t] = h
+    # Align by input value: reverse the downward sweep.
+    divergence = np.abs(outputs[:, 0] - outputs[::-1, 1]).max(axis=0)
+    return LayerProbe(inputs, outputs[:, 0], None if states is None else states[:, 0],
+                      divergence)
 
 
 def write_eval_json(path, report: EvalReport):
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
 
 
-def write_trace_csv(path, traces):
-    """One CSV per layer: input column, then output (and state) per neuron."""
-    if not traces:
-        raise ConfigError("traces: nothing to write")
-    has_states = traces[0].states is not None
-    header = ["input"]
-    for tr in traces:
-        header.append(f"out_{tr.neuron}")
-        if has_states:
-            header.append(f"state_{tr.neuron}")
+def write_trace_csv(path, probe: LayerProbe):
+    """One CSV per layer: input column, then output (and state) per unit."""
+    planes = [probe.outputs] if probe.states is None else [probe.outputs, probe.states]
+    names = ["out", "state"][: len(planes)]
+    header = ["input"] + [f"{name}_{i}" for i in range(probe.outputs.shape[1]) for name in names]
+    columns = np.stack(planes, axis=-1).reshape(len(probe.inputs), -1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in range(len(traces[0].inputs)):
-            row = [repr(float(traces[0].inputs[t]))]
-            for tr in traces:
-                row.append(repr(float(tr.outputs[t])))
-                if has_states:
-                    row.append(repr(float(tr.states[t])))
-            writer.writerow(row)
+        for x, row in zip(probe.inputs, columns):
+            writer.writerow([repr(float(v)) for v in (x, *row)])

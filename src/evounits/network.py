@@ -125,9 +125,10 @@ class BatchedPolicy:
     """Forward pass for the live rows of a batch of B candidates.
 
     For unit modes the frozen weights are shared across the batch; for the
-    plain-tanh baseline each candidate carries its own weights. ``keep``
-    drops rows whose episode has ended and ``reset_states`` brings all B
-    rows back, so ``forward`` only ever computes running episodes.
+    plain-tanh baseline each candidate carries its own weights. A policy
+    serves one batch of episodes: it starts with all B rows live and every
+    neuron state zero, and ``keep`` drops rows whose episode has ended, so
+    ``forward`` only ever computes running episodes.
     ``rows`` holds the batch index of each live row. A row's outputs depend
     on its own genome and inputs alone, and on its index modulo
     PRODUCT_ROWS only where :func:`rows_movable` fails.
@@ -138,22 +139,15 @@ class BatchedPolicy:
         genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
         self.batch = genomes.shape[0]
         self.mode = arch.neuron_mode
-        self._layers = decode(genomes, arch)
-        if self.mode is not NeuronMode.PLAIN_TANH:
-            self.weights = sample_weights(arch)
-            # Live-row inputs of each weight product (see _weight_product).
-            self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
-        self.reset_states()
-
-    def reset_states(self):
-        """Zero every neuron state and make all B rows live again."""
         self.rows = np.arange(self.batch)
         if self.mode is NeuronMode.PLAIN_TANH:
-            self.layers = self._layers
-        else:
-            self.params = None  # so the B-row parameters are never held twice
-            self.params = [parameter_major(p, self.mode) for p in self._layers]
-            self.states = [np.zeros((self.batch, n)) for n in self.arch.layer_sizes]
+            self.layers = decode(genomes, arch)
+            return
+        self.weights = sample_weights(arch)
+        # Live-row inputs of each weight product (see _weight_product).
+        self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
+        self.params = [parameter_major(p, self.mode) for p in decode(genomes, arch)]
+        self.states = [np.zeros((self.batch, n)) for n in arch.layer_sizes]
 
     def keep(self, mask):
         """Keep only the live rows where ``mask`` is true, in order."""
@@ -161,7 +155,7 @@ class BatchedPolicy:
         if self.mode is NeuronMode.PLAIN_TANH:
             self.layers = [(w[mask], b[mask]) for w, b in self.layers]
         else:
-            # One layer at a time, for the same reason as in reset_states.
+            # One layer at a time, so the parameters are never held twice.
             for k, p in enumerate(self.params):
                 self.params[k] = p.compress(mask, axis=-2)
             self.states = [h[mask] for h in self.states]

@@ -22,9 +22,8 @@ from evounits.genome import decode, encode, initial_genome
 from evounits.harness import (
     EVAL_SEED_OFFSET,
     PopulationEvaluator,
-    compare_orderings,
     evaluate,
-    probe_activations,
+    probe_layer,
 )
 from evounits.neural_unit import NeuronMode, layer_step_recurrent
 from evounits.network import sample_weights, weight_checksum
@@ -116,13 +115,13 @@ class TestPropertySuite:
         simple = Architecture((5, 8, 4, 1), NeuronMode.SIMPLE, weight_seed=1)
         g = np.random.default_rng(3).normal(0, 2, count_parameters(simple))
         for layer in range(4):
-            assert compare_orderings(g, simple, layer).max_divergence == 0.0
+            assert probe_layer(g, simple, layer).divergence.max() == 0.0
 
         rec = Architecture((3, 2, 1), NeuronMode.RECURRENT)
         layers = [np.zeros((n, 2, 3)) for n in rec.layer_sizes]
         layers[1][0] = [[1.5, 0.0, -0.3], [0.0, 0.0, 0.0]]
-        tr = probe_activations(encode(layers, rec), rec, 1)[0]
-        assert np.max(np.abs(tr.outputs - np.tanh(1.5 * tr.inputs - 0.3))) <= 1e-12
+        probe = probe_layer(encode(layers, rec), rec, 1)
+        assert np.max(np.abs(probe.outputs[:, 0] - np.tanh(1.5 * probe.inputs - 0.3))) <= 1e-12
         ok("simple-mode divergence exactly 0; state-decoupled probe == simple "
            "activation within 1e-12")
 
@@ -218,17 +217,17 @@ class TestDeskScaleReproduction:
         from evounits.network import load_champion
 
         arch, genome, _ = load_champion(Path(best_dir) / "champion.json")
-        div = compare_orderings(genome, arch, layer=2)
-        assert div.max_divergence > 0.1, f"max divergence {div.max_divergence}"
-        traces = probe_activations(genome, arch, layer=2)
+        probe = probe_layer(genome, arch, layer=2)
+        max_divergence = probe.divergence.max()
+        assert max_divergence > 0.1, f"max divergence {max_divergence}"
         nonmono = 0
-        for tr in traces:
-            d = np.diff(tr.outputs)
+        for i in range(probe.outputs.shape[1]):
+            d = np.diff(probe.outputs[:, i])
             if np.any(d > 1e-9) and np.any(d < -1e-9):
                 nonmono += 1
         assert nonmono >= 1
         ok(f"recurrent champion layer 2: max ordering divergence "
-           f"{div.max_divergence:.3f} > 0.1; {nonmono}/64 non-monotone traces")
+           f"{max_divergence:.3f} > 0.1; {nonmono}/64 non-monotone traces")
 
     @pytest.mark.slow
     def test_simple_mode_champion_traces_monotone(self, tmp_path):
@@ -243,8 +242,9 @@ class TestDeskScaleReproduction:
 
         arch, genome, _ = load_champion(out / "champion.json")
         for layer in range(4):
-            for tr in probe_activations(genome, arch, layer):
-                d = np.diff(tr.outputs)
+            probe = probe_layer(genome, arch, layer)
+            for i in range(probe.outputs.shape[1]):
+                d = np.diff(probe.outputs[:, i])
                 assert np.all(d >= 0) or np.all(d <= 0)
         ok("simple-mode champion traces all monotone or flat")
 

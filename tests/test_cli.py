@@ -156,6 +156,25 @@ class TestTrain:
         assert not out.exists()
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, field", [
+        ("seeds", "master_sed"), ("evaluation", "final_eval_episode"), ("run", "worker"),
+    ])
+    def test_unknown_section_field_named_in_error(self, tmp_path, capsys, section, field):
+        cfg = write_config(tmp_path / "bad.yaml", **{f"{section}.{field}": 7})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
+
+    def test_negative_seed_override_rejected_before_compute(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml")
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--quiet",
+                     "--seed-override", "-1"]) == 1
+        assert not out.exists()
+        assert "seeds.master_seed" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml")
         out_a = tmp_path / "a"
@@ -194,6 +213,13 @@ class TestEval:
         assert code == 0
         data = json.loads(out.read_text())
         assert abs(data["mean"] - recorded["mean"]) <= recorded["std"]
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--champion", str(REFERENCE_CHAMPION), "--episodes", "2",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "base_seed" in capsys.readouterr().err
 
     def test_corrupted_checkpoint(self, trained_run, tmp_path):
         bad = tmp_path / "bad.json"

@@ -39,3 +39,16 @@ def test_every_preset_resolves_to_its_pinned_values():
 def test_arch_must_fit_the_task(sizes):
     with pytest.raises(ConfigError, match="arch.layer_sizes"):
         from_preset("cartpole-recurrent", {"arch": {"layer_sizes": sizes}})
+
+
+@pytest.mark.parametrize("section, field", [
+    ("seeds", "master_sed"), ("evaluation", "final_eval_episode"), ("run", "worker"),
+])
+def test_unknown_section_field_named(section, field):
+    with pytest.raises(ConfigError, match=rf"^{section}: unknown fields \['{field}'\]"):
+        from_preset("cartpole-recurrent", {section: {field: 7}})
+
+
+def test_negative_master_seed_named():
+    with pytest.raises(ConfigError, match="seeds.master_seed"):
+        from_preset("cartpole-recurrent", {"seeds": {"master_seed": -1}})

@@ -8,15 +8,15 @@ from evounits.errors import ConfigError
 from evounits.genome import encode, decode, initial_genome
 from evounits.harness import (
     PopulationEvaluator,
-    compare_orderings,
     episode_trajectory,
     evaluate,
     evaluate_population,
-    probe_activations,
+    probe_layer,
     write_eval_json,
     write_trace_csv,
 )
 from evounits.neural_unit import NeuronMode
+from unit_oracle import NeuronParams, activate_recurrent, activate_simple
 
 
 def rec_arch(sizes=(5, 8, 4, 1), seed=1):
@@ -86,7 +86,7 @@ class TestArchMustFitTask:
 
     def test_probes_accept_any_io(self):
         a = rec_arch((4, 8, 3))
-        assert len(probe_activations(initial_genome(a), a, 2, n_points=5)) == 3
+        assert probe_layer(initial_genome(a), a, 2, n_points=5).outputs.shape == (5, 3)
 
 
 class TestPopulationEvaluator:
@@ -156,10 +156,10 @@ class TestPopulationEvaluator:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                payloads = list(payloads)
-                sizes.append([len(p[2]) for p in payloads])
-                return map(fn, payloads)
+            def map(self, fn, splits):
+                splits = list(splits)
+                sizes.append([len(g) for g in splits])
+                return map(fn, splits)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness, "rows_movable", lambda arch: movable)
@@ -174,31 +174,45 @@ class TestPopulationEvaluator:
             assert sizes == [[128, 172], [128, 128, 44]]
 
 
+def scalar_sweep(unit, inputs):
+    """Outputs and states of one unit stepped through ``inputs`` from a zero
+    state by the scalar oracle; the state stays zero for simple units."""
+    outputs, states, h = [], [], 0.0
+    for x in inputs:
+        if unit.mode is NeuronMode.RECURRENT:
+            out, h = activate_recurrent(unit, float(x), h)
+        else:
+            out = activate_simple(unit, float(x))
+        outputs.append(out)
+        states.append(h)
+    return outputs, states
+
+
 class TestProbes:
     def test_zero_params_flat_traces(self):
         a = rec_arch()
-        traces = probe_activations(initial_genome(a), a, layer=2)
-        assert len(traces) == 4
-        for tr in traces:
-            assert not tr.outputs.any()
-            assert not tr.states.any()
+        probe = probe_layer(initial_genome(a), a, layer=2)
+        assert probe.outputs.shape == probe.states.shape == (1000, 4)
+        assert not probe.outputs.any()
+        assert not probe.states.any()
 
     def test_trace_lengths_and_bounds(self):
         a = rec_arch()
         g = np.random.default_rng(5).normal(0, 2, count_parameters(a))
         for layer in range(4):
-            for tr in probe_activations(g, a, layer):
-                assert len(tr.inputs) == len(tr.outputs) == len(tr.states) == 1000
-                assert tr.inputs[0] == -3.0 and tr.inputs[-1] == 3.0
-                assert np.all(np.abs(tr.outputs) <= 1.0)
-                assert np.all(np.abs(tr.states) <= 1.0)
+            probe = probe_layer(g, a, layer)
+            assert len(probe.inputs) == len(probe.outputs) == len(probe.states) == 1000
+            assert probe.inputs[0] == -3.0 and probe.inputs[-1] == 3.0
+            assert np.all(np.abs(probe.outputs) <= 1.0)
+            assert np.all(np.abs(probe.states) <= 1.0)
 
     def test_simple_traces_monotone_no_states(self):
         a = simple_arch()
         g = np.random.default_rng(6).normal(0, 2, count_parameters(a))
-        for tr in probe_activations(g, a, 1):
-            assert tr.states is None
-            diffs = np.diff(tr.outputs)
+        probe = probe_layer(g, a, 1)
+        assert probe.states is None
+        for i in range(probe.outputs.shape[1]):
+            diffs = np.diff(probe.outputs[:, i])
             assert np.all(diffs >= 0) or np.all(diffs <= 0)
 
     def test_probe_locality(self):
@@ -209,10 +223,11 @@ class TestProbes:
         target = layers[1][2].copy()
         zeroed = [np.zeros_like(p) for p in layers]
         zeroed[1][2] = target
-        tr_full = probe_activations(g, a, 1)[2]
-        tr_zeroed = probe_activations(encode(zeroed, a), a, 1)[2]
-        assert np.array_equal(tr_full.outputs, tr_zeroed.outputs)
-        assert np.array_equal(tr_full.states, tr_zeroed.states)
+        full = probe_layer(g, a, 1)
+        alone = probe_layer(encode(zeroed, a), a, 1)
+        assert np.array_equal(full.outputs[:, 2], alone.outputs[:, 2])
+        assert np.array_equal(full.states[:, 2], alone.states[:, 2])
+        assert full.divergence[2] == alone.divergence[2]
 
     def test_state_decoupled_matches_simple_activation(self):
         # Recurrent unit with state column and state row zeroed == tanh(a x + b).
@@ -220,15 +235,31 @@ class TestProbes:
         layers = [np.zeros((n, 2, 3)) for n in a.layer_sizes]
         layers[1][0] = [[1.5, 0.0, -0.3], [0.0, 0.0, 0.0]]
         g = encode(layers, a)
-        tr = probe_activations(g, a, 1)[0]
-        expected = np.tanh(1.5 * tr.inputs - 0.3)
-        np.testing.assert_allclose(tr.outputs, expected, atol=1e-12)
-        assert not tr.states.any()
+        probe = probe_layer(g, a, 1)
+        expected = np.tanh(1.5 * probe.inputs - 0.3)
+        np.testing.assert_allclose(probe.outputs[:, 0], expected, atol=1e-12)
+        assert not probe.states.any()
+
+    @pytest.mark.parametrize("mode", [NeuronMode.RECURRENT, NeuronMode.SIMPLE])
+    def test_matches_scalar_oracle(self, mode):
+        # Each unit stepped alone through the scalar oracle, upward and then
+        # downward from a zero state, gives the probe's bits.
+        a = Architecture((5, 8, 4, 1), mode, weight_seed=1)
+        g = np.random.default_rng(11).normal(0, 2, count_parameters(a))
+        probe = probe_layer(g, a, 2)
+        for i, values in enumerate(decode(g, a)[2]):
+            unit = NeuronParams(mode, np.atleast_2d(values))
+            up, up_states = scalar_sweep(unit, probe.inputs)
+            down, _ = scalar_sweep(unit, probe.inputs[::-1])
+            assert probe.outputs[:, i].tolist() == up
+            if mode is NeuronMode.RECURRENT:
+                assert probe.states[:, i].tolist() == up_states
+            assert probe.divergence[i] == max(abs(u - d) for u, d in zip(up, down[::-1]))
 
     def test_invalid_layer_rejected(self):
         a = rec_arch()
         with pytest.raises(ConfigError):
-            probe_activations(initial_genome(a), a, 7)
+            probe_layer(initial_genome(a), a, 7)
 
 
 class TestCompareOrderings:
@@ -236,33 +267,30 @@ class TestCompareOrderings:
         a = simple_arch()
         g = np.random.default_rng(8).normal(0, 2, count_parameters(a))
         for layer in range(4):
-            div = compare_orderings(g, a, layer)
-            assert div.max_divergence == 0.0
+            assert probe_layer(g, a, layer).divergence.max() == 0.0
 
     def test_state_decoupled_recurrent_divergence_zero(self):
         a = rec_arch((2, 3, 1))
         layers = [np.zeros((n, 2, 3)) for n in a.layer_sizes]
         for p in layers:
             p[:, 0, 0] = 1.0  # pass-through output row, no state coupling
-        div = compare_orderings(encode(layers, a), a, 1)
-        assert div.max_divergence == 0.0
+        assert probe_layer(encode(layers, a), a, 1).divergence.max() == 0.0
 
     def test_state_coupled_neuron_diverges(self):
         a = rec_arch((1, 1))
         layers = [np.zeros((1, 2, 3)), np.zeros((1, 2, 3))]
         layers[0][0] = [[1.0, 2.0, 0.0], [1.0, 0.9, 0.0]]  # strong feedback
-        div = compare_orderings(encode(layers, a), a, 0)
-        assert div.max_divergence > 0.0
+        assert probe_layer(encode(layers, a), a, 0).divergence.max() > 0.0
 
     def test_plain_tanh_rejected(self):
         a = Architecture((5, 4, 1), NeuronMode.PLAIN_TANH)
         with pytest.raises(ConfigError, match="neuron_mode"):
-            compare_orderings(np.zeros(count_parameters(a)), a, 0)
+            probe_layer(np.zeros(count_parameters(a)), a, 0)
 
     def test_layer_out_of_range_rejected(self):
         a = rec_arch()
         with pytest.raises(ConfigError, match="layer"):
-            compare_orderings(initial_genome(a), a, 4)
+            probe_layer(initial_genome(a), a, 4)
 
 
 class TestWriters:
@@ -280,18 +308,16 @@ class TestWriters:
     def test_trace_csv_shape_recurrent(self, tmp_path):
         a = rec_arch()
         g = np.random.default_rng(9).normal(size=count_parameters(a))
-        traces = probe_activations(g, a, 2)
         path = tmp_path / "traces.csv"
-        write_trace_csv(path, traces)
+        write_trace_csv(path, probe_layer(g, a, 2))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1001
         assert len(lines[0].split(",")) == 1 + 2 * 4
 
     def test_trace_csv_omits_states_for_simple(self, tmp_path):
         a = simple_arch()
-        traces = probe_activations(initial_genome(a), a, 2)
         path = tmp_path / "traces.csv"
-        write_trace_csv(path, traces)
+        write_trace_csv(path, probe_layer(initial_genome(a), a, 2))
         header = path.read_text().splitlines()[0].split(",")
         assert len(header) == 1 + 4
         assert not any(col.startswith("state") for col in header)

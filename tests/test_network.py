@@ -108,24 +108,16 @@ class TestPolicyForward:
     def test_recurrent_state_feedback_and_reset(self):
         a = rec_arch((2, 3, 1))
         rng = np.random.default_rng(5)
-        net = BatchedPolicy(a, rng.normal(size=count_parameters(a)))
+        genome = rng.normal(size=count_parameters(a))
+        net = BatchedPolicy(a, genome)
         obs = np.array([[0.3, -0.7]])
         first = net.forward(obs)
         second = net.forward(obs)
         assert not np.array_equal(first, second)  # state feedback moved it
-        net.reset_states()
+        # A policy serves one batch of episodes; a fresh one starts from zero.
+        net = BatchedPolicy(a, genome)
+        assert not any(h.any() for h in net.states)
         assert np.array_equal(net.forward(obs), first)
-
-    def test_reset_idempotent(self):
-        a = rec_arch((2, 3, 1))
-        net = BatchedPolicy(a, np.random.default_rng(1).normal(size=count_parameters(a)))
-        net.forward(np.ones((1, 2)))
-        net.reset_states()
-        snapshot = [h.copy() for h in net.states]
-        net.reset_states()
-        for h, s in zip(net.states, snapshot):
-            assert np.array_equal(h, s)
-            assert not h.any()
 
     def test_action_bounds(self):
         a = rec_arch((4, 6, 2))
@@ -197,16 +189,6 @@ class TestBatchedPolicy:
             for i, pol in enumerate(singles):
                 np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
-    def test_reset_states(self):
-        a = rec_arch((2, 3, 1))
-        genomes = np.random.default_rng(1).normal(size=(3, count_parameters(a)))
-        batched = BatchedPolicy(a, genomes)
-        obs = np.ones((3, 2))
-        first = batched.forward(obs)
-        batched.forward(obs)
-        batched.reset_states()
-        assert np.array_equal(batched.forward(obs), first)
-
     @pytest.mark.parametrize("mode", list(NeuronMode))
     def test_forward_after_keep(self, mode):
         a = Architecture((3, 6, 2), mode, weight_seed=21)
@@ -227,17 +209,6 @@ class TestBatchedPolicy:
             assert batch_out.shape == (3, 2)
             for i, pol in enumerate(kept):
                 np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
-
-    def test_reset_states_restores_dropped_rows(self):
-        a = rec_arch((2, 3, 1))
-        genomes = np.random.default_rng(2).normal(size=(3, count_parameters(a)))
-        batched = BatchedPolicy(a, genomes)
-        obs = np.ones((3, 2))
-        first = batched.forward(obs)
-        batched.keep(np.array([False, True, False]))
-        batched.forward(obs[:1])
-        batched.reset_states()
-        assert np.array_equal(batched.forward(obs), first)
 
 
 class TestChampionCheckpoint:
