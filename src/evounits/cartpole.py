@@ -149,10 +149,11 @@ class BatchedSwingUp:
             self.done = np.abs(x) > p.x_threshold
         return self._observe(cos_theta), reward, self.done
 
-    def keep(self, mask):
-        """Keep only the instances where ``mask`` is true, in order."""
-        self.state = self.state.compress(mask, axis=1)
-        self.done = self.done[mask]
+    def keep(self, order):
+        """Keep the instances ``order`` (indices into those held), instance
+        ``order[j]`` moving to place j."""
+        self.state = self.state.take(order, axis=1)
+        self.done = self.done[order]
 
 
 def check_arch(arch):

@@ -65,25 +65,31 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"optimizer: {exc}") from exc
 
+    def _int(self, section, name, default):
+        value = getattr(self, section).get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{section}.{name}: must be an integer, got {value!r}")
+        return value
+
     @property
     def master_seed(self) -> int:
-        return int(self.seeds.get("master_seed", 0))
+        return self._int("seeds", "master_seed", 0)
 
     @property
     def episodes_per_candidate(self) -> int:
-        return int(self.evaluation.get("episodes_per_candidate", 1))
+        return self._int("evaluation", "episodes_per_candidate", 1)
 
     @property
     def final_eval_episodes(self) -> int:
-        return int(self.evaluation.get("final_eval_episodes", 100))
+        return self._int("evaluation", "final_eval_episodes", 100)
 
     @property
     def checkpoint_every(self) -> int:
-        return int(self.run.get("checkpoint_every", 50))
+        return self._int("run", "checkpoint_every", 50)
 
     @property
     def workers(self) -> int:
-        return int(self.run.get("workers", 1))
+        return self._int("run", "workers", 1)
 
     def validate(self):
         """Materialize every derived object so bad fields fail up front."""

@@ -57,14 +57,23 @@ class LayerProbe:
     divergence: np.ndarray
 
 
+def _fill_order(done):
+    """Live rows in their new places: ended rows' places in the new live
+    block go to the live rows beyond it; every other row (row 0 too) stays."""
+    order = np.arange(done.size - np.count_nonzero(done))
+    holes = np.flatnonzero(done[: order.size])
+    order[holes] = order.size + np.flatnonzero(~done[order.size :])
+    return order
+
+
 def _scores(arch, env_params, genomes, seeds, trajectory=None):
     """Total reward of one episode per row: row i runs ``genomes[i]`` from
     ``seeds[i]``, all stepped together as one batch.
 
     Only running episodes are stepped: rows whose episode ended leave both
-    the policy and the env, and the loop stops when none is left. A
-    ``trajectory`` list gets one (t, x, x_dot, theta, theta_dot, action,
-    reward) tuple per step of row 0's episode.
+    the policy and the env (see :func:`_fill_order`), and the loop stops
+    when none is left. A ``trajectory`` list gets one (t, x, x_dot, theta,
+    theta_dot, action, reward) tuple per step of row 0's episode.
     """
     net = BatchedPolicy(arch, genomes)
     env = BatchedSwingUp(env_params, len(seeds))
@@ -77,10 +86,10 @@ def _scores(arch, env_params, genomes, seeds, trajectory=None):
         if trajectory is not None and net.rows[0] == 0:
             trajectory.append((env.t, *env.state[:, 0], actions[0, 0], reward[0]))
         if done.any():
-            live = ~done
-            net.keep(live)
-            env.keep(live)
-            obs = obs[live]
+            order = _fill_order(done)
+            net.keep(order)
+            env.keep(order)
+            obs = obs[order]
     return totals
 
 
@@ -205,10 +214,9 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
             outputs[t] = layer_step_simple(params, x)
     else:
         states = np.empty((n_points, 2, n))
-        h = np.zeros((2, n))
+        out, tmp = np.zeros((2, 2, n)), np.empty((2, n))
         for t, x in enumerate(sweeps):
-            outputs[t], h = layer_step_recurrent(params, x, h)
-            states[t] = h
+            outputs[t], states[t] = layer_step_recurrent(params, x, out[1], out, tmp)
     # Align by input value: reverse the downward sweep.
     divergence = np.abs(outputs[:, 0] - outputs[::-1, 1]).max(axis=0)
     return LayerProbe(inputs, outputs[:, 0], None if states is None else states[:, 0],

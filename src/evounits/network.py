@@ -147,70 +147,87 @@ class BatchedPolicy:
         # Live-row inputs of each weight product (see _weight_product).
         self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
         self.params = [parameter_major(p, self.mode) for p in decode(genomes, arch)]
-        self.states = [np.zeros((self.batch, n)) for n in arch.layer_sizes]
+        # Per recurrent layer, plane 0 holds the unit outputs and plane 1 the
+        # states of the live rows [:m]. Products and unit steps share _scratch.
+        recurrent = self.mode is NeuronMode.RECURRENT
+        self.planes = [np.zeros((2, self.batch, n)) for n in arch.layer_sizes if recurrent]
+        self._scratch = np.empty((2, self.batch * max(arch.layer_sizes)))
 
-    def keep(self, mask):
-        """Keep only the live rows where ``mask`` is true, in order."""
-        self.rows = self.rows[mask]
+    def keep(self, order):
+        """Keep the live rows ``order`` (indices into the live rows), row
+        ``order[j]`` moving to place j; only rows that move are copied."""
+        self.rows = self.rows[order]
         if self.mode is NeuronMode.PLAIN_TANH:
-            self.layers = [(w[mask], b[mask]) for w, b in self.layers]
-        else:
-            # One layer at a time, so the parameters are never held twice.
-            for k, p in enumerate(self.params):
-                self.params[k] = p.compress(mask, axis=-2)
-            self.states = [h[mask] for h in self.states]
+            self.layers = [(w[order], b[order]) for w, b in self.layers]
+            return
+        n = len(order)
+        moved = np.flatnonzero(order != np.arange(n))
+        src = order[moved]
+        for k, p in enumerate(self.params):
+            p[..., moved, :] = p[..., src, :]
+            self.params[k] = p[..., :n, :]
+        for plane in self.planes:
+            plane[:, moved] = plane[:, src]
 
     def _weight_product(self, k, x):
         """x @ W_k.T for the live rows, each row bitwise as in a
-        PRODUCT_ROWS-row product.
+        PRODUCT_ROWS-row product, written into scratch row 0.
 
         An all-live batch of more than PRODUCT_ROWS // 2 rows runs in place,
         padded to PRODUCT_ROWS rows unless :func:`prefix_verified` holds.
-        Any other live set goes in order into pieces of at most the largest
-        bucket, each run at the smallest bucket that holds it. Where no
-        bucket verifies, each PRODUCT_ROWS-row block of the batch runs at
+        Where buckets exist, any other live set runs as direct
+        PRODUCT_ROWS-row slices, and the remainder in pieces of at most the
+        largest bucket, each run at the smallest bucket that holds it. Where
+        no bucket verifies, each PRODUCT_ROWS-row block of the batch runs at
         PRODUCT_ROWS rows with its live rows at their own places.
         """
         w_t = self.weights[k].T
         m = x.shape[0]
+        out = self._scratch[0, : m * w_t.shape[1]].reshape(m, -1)
         buf = self._product_in[k]
         if m == self.batch <= PRODUCT_ROWS < 2 * m:
             if m == PRODUCT_ROWS or prefix_verified(*w_t.shape, m):
-                return x @ w_t
+                return np.matmul(x, w_t, out=out)
             buf[:m] = x
-            return (buf @ w_t)[:m]
+            out[:] = (buf @ w_t)[:m]
+            return out
         table = bucket_table(*w_t.shape)
         top = table.index(PRODUCT_ROWS) - 1  # the largest bucket, or -1
-        parts = []
         if top > 0:
-            for i in range(0, m, top):
+            whole = m - m % PRODUCT_ROWS
+            for i in range(0, whole, PRODUCT_ROWS):
+                np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])
+            for i in range(whole, m, top):
                 p = min(top, m - i)
                 buf[:p] = x[i : i + p]
-                parts.append((buf[: table[p]] @ w_t)[:p])
+                out[i : i + p] = (buf[: table[p]] @ w_t)[:p]
         else:
             block_of = self.rows // PRODUCT_ROWS
             for c in np.unique(block_of):
                 sel = block_of == c
                 local = self.rows[sel] - c * PRODUCT_ROWS
                 buf[local] = x[sel]
-                parts.append((buf @ w_t)[local])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+                out[sel] = (buf @ w_t)[local]
+        return out
 
     def forward(self, obs):
-        """obs: (live rows, obs_dim) -> actions (live rows, action_dim)."""
+        """obs: (live rows, obs_dim) -> new actions (live rows, action_dim)."""
         x = np.asarray(obs, dtype=np.float64)
         if self.mode is NeuronMode.PLAIN_TANH:
             for w, b in self.layers:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
+        m = x.shape[0]
         recurrent = self.mode is NeuronMode.RECURRENT
-        for k in range(self.arch.n_layers):
+        for k, n in enumerate(self.arch.layer_sizes):
             pre = x if k == 0 else self._weight_product(k - 1, x)
             if recurrent:
-                x, self.states[k] = layer_step_recurrent(self.params[k], pre, self.states[k])
+                out = self.planes[k][:, :m]
+                tmp = self._scratch[1, : m * n].reshape(m, n)
+                x, _ = layer_step_recurrent(self.params[k], pre, out[1], out, tmp)
             else:
                 x = layer_step_simple(self.params[k], pre)
-        return x
+        return x.copy()
 
 
 def _arch_to_dict(arch: Architecture) -> dict:

@@ -30,22 +30,29 @@ def parameter_major(values, mode: NeuronMode):
 
     Moves the per-unit coefficient axes to the front: (..., n, 2, 3) becomes
     (2, 3, ..., n) for recurrent units and (..., n, 2) becomes (2, ..., n)
-    for simple ones, the layout the layer steps below expect.
+    for simple ones, the layout the layer steps below expect, as a new array.
     """
     k = 2 if mode is NeuronMode.RECURRENT else 1
     nd = values.ndim
-    return np.ascontiguousarray(np.moveaxis(values, range(nd - k, nd), range(k)))
+    return np.array(np.moveaxis(values, range(nd - k, nd), range(k)), order="C")
 
 
-def layer_step_recurrent(values, x, h):
-    """Vectorized recurrent step for a whole layer (or batch of layers).
+def layer_step_recurrent(values, x, h, out, tmp):
+    """Vectorized recurrent step for a whole layer (or batch of layers),
+    written into ``out`` without allocating.
 
     values: (2, 3, ..., n), parameter-major (see :func:`parameter_major`);
-    x and h: (..., n). Returns (out, h_new).
+    x, h and the scratch ``tmp``: (..., n); ``out``: (2, ..., n) receives
+    [output, new state]. ``h`` may be ``out[1]``: each plane reads ``h``
+    before it writes that plane. Returns (out[0], out[1]).
     """
-    z = values[:, 0] * x + values[:, 1] * h + values[:, 2]  # (2, ..., n)
-    out, h_new = np.tanh(z)
-    return out, h_new
+    for i, plane in enumerate(out):
+        np.multiply(values[i, 1], h, out=tmp)
+        np.multiply(values[i, 0], x, out=plane)
+        plane += tmp
+        plane += values[i, 2]
+    np.tanh(out, out=out)
+    return out[0], out[1]
 
 
 def layer_step_simple(values, x):

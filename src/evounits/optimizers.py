@@ -60,9 +60,9 @@ class GeneticAlgorithm:
             self.best_fitness = float(f[order[0]])
             self.best = self.population[order[0]].copy()
         n_children = self.popsize - self.n_elite
-        parents = elites[self.rng.integers(0, self.n_elite, size=n_children)]
-        children = parents + self.rng.normal(0.0, self.mutation_std,
-                                             size=(n_children, self.dim))
+        # Mutated in place: one population-sized array fewer at tell's peak.
+        children = elites[self.rng.integers(0, self.n_elite, size=n_children)]
+        children += self.rng.normal(0.0, self.mutation_std, size=(n_children, self.dim))
         self.population = np.vstack([elites, children])
         self.generation += 1
 

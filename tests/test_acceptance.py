@@ -51,9 +51,10 @@ class TestPropertySuite:
         params = rng.normal(0, 5, (2, 3, n))  # parameter-major: one plane per coefficient
         x = rng.normal(0, 5, n)
         h = rng.uniform(-1, 1, n)
-        out, h_new = layer_step_recurrent(params, x, h)
+        out, h_new = layer_step_recurrent(params, x, h, np.empty((2, n)), np.empty(n))
         assert np.all(np.abs(out) <= 1.0) and np.all(np.abs(h_new) <= 1.0)
-        out0, h0 = layer_step_recurrent(np.zeros((2, 3, 10)), np.ones(10), np.ones(10))
+        out0, h0 = layer_step_recurrent(np.zeros((2, 3, 10)), np.ones(10), np.ones(10),
+                                        np.empty((2, 10)), np.empty(10))
         assert not out0.any() and not h0.any()
         ok("unit outputs/states in [-1,1] over 1e5 samples; zero-param identities")
 

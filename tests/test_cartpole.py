@@ -120,7 +120,7 @@ class TestStep:
             pass
         with pytest.raises(DomainError):
             env.step(np.array([1.0, 0.0]))
-        env.keep(~env.done)
+        env.keep(np.flatnonzero(~env.done))
         env.step(np.zeros(1))
 
     def test_nonfinite_action_rejected(self):
@@ -215,16 +215,18 @@ class TestBatchedEnv:
         assert done.tolist() == [True, False, False]
         assert r[0] >= 0.0  # the final step still earns its reward
         frozen = ref.state[:, 0].copy()
-        env.keep(~done)
+        # Instance 2 takes the ended instance's place, as the rollout does it.
+        order = [2, 1]
+        env.keep(order)
         assert env.state.shape == (4, 2)
         assert not env.done.any() and env.done.shape == (2,)
-        assert np.array_equal(env.state, ref.state[:, 1:])
+        assert np.array_equal(env.state, ref.state[:, order])
         for _ in range(20):
-            obs, r, _ = env.step(actions[1:])
+            obs, r, _ = env.step(actions[order])
             obs_ref, r_ref, _ = ref.step(actions)
-            assert np.array_equal(env.state, ref.state[:, 1:])
-            assert np.array_equal(obs, obs_ref[1:])
-            assert np.array_equal(r, r_ref[1:])
+            assert np.array_equal(env.state, ref.state[:, order])
+            assert np.array_equal(obs, obs_ref[order])
+            assert np.array_equal(r, r_ref[order])
         assert np.array_equal(ref.state[:, 0], frozen)  # the oracle froze it
 
     def test_max_steps_ends_every_row(self):
@@ -233,7 +235,7 @@ class TestBatchedEnv:
         for _ in range(2):
             assert not env.step(np.zeros(2))[2].any()
         assert env.step(np.zeros(2))[2].all()
-        env.keep(~env.done)
+        env.keep(np.flatnonzero(~env.done))
         assert env.state.shape == (4, 0)
 
     def test_seed_count_checked(self):

@@ -167,6 +167,19 @@ class TestTrain:
         assert not out.exists()
         assert f"{section}: unknown fields ['{field}']" in capsys.readouterr().err
 
+    # Integer fields take a YAML int and nothing that converts to one.
+    @pytest.mark.parametrize("field, value", [
+        ("seeds.master_seed", "abc"), ("evaluation.final_eval_episodes", 2.5),
+        ("run.workers", True), ("run.checkpoint_every", "7"),
+    ])
+    def test_non_integer_field_named_before_compute(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "bad.yaml", **{field: value})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert f"{field}: must be an integer" in capsys.readouterr().err
+
     def test_negative_seed_override_rejected_before_compute(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml")
         out = tmp_path / "x"

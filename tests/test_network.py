@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import BatchedSwingUp, SwingUpParams
 from evounits.errors import CheckpointError, ConfigError, DomainError
 from evounits.genome import decode, encode, initial_genome
+from evounits.harness import _fill_order
 from evounits.network import (
     BatchedPolicy,
     load_champion,
@@ -85,8 +88,8 @@ class TestPolicyForward:
         net = BatchedPolicy(a, initial_genome(a))
         for obs in (np.zeros(5), np.ones(5), np.linspace(-1, 1, 5)):
             assert np.array_equal(net.forward(obs[None]), [[0.0]])
-        for h in net.states:
-            assert not h.any()
+        for planes in net.planes:
+            assert not planes.any()
 
     def test_simple_unit_scale_one_matches_plain_tanh(self):
         # Units [1, 0] on every neuron reduce to a tanh net over frozen weights.
@@ -116,7 +119,7 @@ class TestPolicyForward:
         assert not np.array_equal(first, second)  # state feedback moved it
         # A policy serves one batch of episodes; a fresh one starts from zero.
         net = BatchedPolicy(a, genome)
-        assert not any(h.any() for h in net.states)
+        assert not any(planes.any() for planes in net.planes)
         assert np.array_equal(net.forward(obs), first)
 
     def test_action_bounds(self):
@@ -201,15 +204,64 @@ class TestBatchedPolicy:
             batched.forward(np.tile(obs, (4, 1)))
             for pol in singles:
                 pol.forward(obs)
-        mask = np.array([True, False, True, True])
-        batched.keep(mask)
-        kept = [pol for pol, m in zip(singles, mask) if m]
+        order = _fill_order(np.array([False, True, False, False]))
+        assert order.tolist() == [0, 3, 2]
+        batched.keep(order)
+        kept = [singles[i] for i in order]
         for obs in obs_seq[3:]:
             batch_out = batched.forward(np.tile(obs, (3, 1)))
             assert batch_out.shape == (3, 2)
             for i, pol in enumerate(kept):
                 np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
+
+    def test_keep_fills_only_the_ended_places(self):
+        # A middle row and the last row end in the same step: the last live
+        # row takes the middle place, and no other place changes.
+        a = Architecture((3, 6, 2), NeuronMode.RECURRENT, weight_seed=21)
+        rng = np.random.default_rng(14)
+        genomes = rng.normal(0, 1, (6, count_parameters(a)))
+        batched = BatchedPolicy(a, genomes)
+        singles = [FullBatchPolicy(a, g) for g in genomes]
+        obs_seq = rng.normal(size=(6, 1, 3))
+        for obs in obs_seq[:3]:
+            batched.forward(np.tile(obs, (6, 1)))
+            for pol in singles:
+                pol.forward(obs)
+        params = [p.copy() for p in batched.params]
+        planes = [p.copy() for p in batched.planes]
+        order = _fill_order(np.array([False, False, True, False, False, True]))
+        assert order.tolist() == [0, 1, 4, 3]
+        batched.keep(order)
+        assert batched.rows.tolist() == [0, 1, 4, 3]
+        for before, after in zip(params, batched.params):
+            assert np.array_equal(after, before[..., order, :])
+            assert np.array_equal(after[..., [0, 1, 3], :], before[..., [0, 1, 3], :])
+        for before, after in zip(planes, batched.planes):
+            assert np.array_equal(after[:, :4], before[:, order])
+            assert np.array_equal(after[:, [0, 1, 3, 5]], before[:, [0, 1, 3, 5]])
+        kept = [singles[i] for i in order]
+        for obs in obs_seq[3:]:
+            batch_out = batched.forward(np.tile(obs, (4, 1)))
+            for i, pol in enumerate(kept):
+                np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
+
+    def test_forward_allocates_no_layer_plane(self):
+        # Unit steps and products write into the policy's own buffers; the
+        # old path allocated several (rows, 128) temporaries per step.
+        a = rec_arch()
+        rng = np.random.default_rng(15)
+        net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
+        obs = rng.normal(size=(512, 5))
+        net.forward(obs)  # probes the product buckets once per process
+        tracemalloc.start()
+        try:
+            action = net.forward(obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert action.shape == (512, 1)
+        assert peak < 512 * 128 * 8  # one (512, 128) float64 plane
 
 class TestChampionCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

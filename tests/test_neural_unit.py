@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rollout_oracle as oracle
+from evounits import network
+from evounits.architecture import Architecture
 from evounits.errors import DomainError
+from evounits.harness import evaluate_population
 from evounits.neural_unit import (
     NeuronMode,
     layer_step_recurrent,
@@ -17,6 +21,7 @@ from unit_oracle import (
     activate_simple,
     output_nonlinearity,
 )
+from test_rollout_golden import NOISY_ENV, SIZES, staggered_population
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 state_vals = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -142,7 +147,10 @@ class TestLayerStepsMatchScalarOracle:
         values = rng.normal(0, 3, (n, 2, 3))
         x = rng.normal(0, 3, n)
         h = rng.uniform(-1, 1, n)
-        out, h_new = layer_step_recurrent(np.moveaxis(values, (1, 2), (0, 1)), x, h)
+        buf = np.empty((2, n))
+        out, h_new = layer_step_recurrent(np.moveaxis(values, (1, 2), (0, 1)), x, h, buf,
+                                          np.empty(n))
+        assert out.base is buf and h_new.base is buf
         want = [activate_recurrent(recurrent_params(v), xi, hi)
                 for v, xi, hi in zip(values, x, h)]
         assert np.array_equal(out, [w[0] for w in want])
@@ -153,3 +161,47 @@ class TestLayerStepsMatchScalarOracle:
         assert np.array_equal(
             simple_out, [activate_simple(simple_params(a, b), xi) for (a, b), xi in zip(ab, x)]
         )
+
+    def test_state_in_place_over_steps(self):
+        # The policy passes a layer's state plane as h and writes the new
+        # state over it; every step must still match the scalar oracle.
+        rng = np.random.default_rng(1)
+        rows, n = 7, 33
+        values = rng.normal(0, 2, (rows, n, 2, 3))
+        units = [recurrent_params(v) for v in values.reshape(-1, 2, 3)]
+        planes = np.zeros((2, rows, n))
+        tmp = np.empty((rows, n))
+        want_h = [0.0] * len(units)
+        for _ in range(6):
+            x = rng.normal(0, 2, (rows, n))
+            out, h_new = layer_step_recurrent(np.moveaxis(values, (2, 3), (0, 1)), x,
+                                              planes[1], planes, tmp)
+            assert h_new.base is planes
+            want = [activate_recurrent(u, xi, hi)
+                    for u, xi, hi in zip(units, x.ravel(), want_h)]
+            assert np.array_equal(out.ravel(), [w[0] for w in want])
+            assert np.array_equal(planes[1].ravel(), [w[1] for w in want])
+            want_h = [w[1] for w in want]
+
+
+def test_block_products_with_rows_out_of_order(monkeypatch):
+    # Without buckets each row's product runs at its own place in its
+    # 128-row block, while ended rows' places in the live block are taken by
+    # rows from the end of the batch, often from another block.
+    monkeypatch.setattr(network, "_BUCKETS", {})
+    monkeypatch.setattr(network, "_probe_buckets", lambda *shape: [])
+    arch = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
+    genomes = staggered_population(arch, np.random.default_rng(2), chunks=2)
+    moved_across = []
+    keep = network.BatchedPolicy.keep
+
+    def spy(net, order):
+        keep(net, order)
+        live = np.arange(net.rows.size)
+        moved_across.append(np.any(net.rows // network.PRODUCT_ROWS
+                                   != live // network.PRODUCT_ROWS))
+
+    monkeypatch.setattr(network.BatchedPolicy, "keep", spy)
+    want, _ = oracle.population_fitness(arch, NOISY_ENV, genomes, [3])
+    assert np.array_equal(evaluate_population(arch, NOISY_ENV, genomes, [3]), want)
+    assert any(moved_across)
