@@ -9,15 +9,9 @@ from .errors import (
     EvaluationError,
     EvoUnitsError,
 )
-from .genome import decode, encode, initial_genome
+from .genome import decode, initial_genome
 from .harness import EvalReport, LayerProbe, evaluate, probe_layer
-from .network import (
-    BatchedPolicy,
-    load_champion,
-    sample_weights,
-    save_champion,
-    weight_checksum,
-)
+from .network import BatchedPolicy, load_champion, save_champion
 from .neural_unit import NeuronMode
 from .optimizers import (
     CmaEs,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .neural_unit import PARAMS_PER_NEURON, NeuronMode
+from .schema import at_least, check_fields, positive
 
 
 @dataclass(frozen=True)
@@ -16,38 +17,24 @@ class Architecture:
     the other two modes select random-weight networks with evolvable units.
     """
 
-    layer_sizes: tuple
+    layer_sizes: tuple[int, ...]
     neuron_mode: NeuronMode
-    weight_seed: int = 0
-    weight_std: float = 0.5
+    weight_seed: int = at_least(0, 0)
+    weight_std: float = positive(0.5)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
+        check_fields(self)
+        sizes = self.layer_sizes
         if len(sizes) < 2:
             raise ConfigError("layer_sizes: need at least input and output layers")
         if any(s < 1 for s in sizes):
             raise ConfigError(f"layer_sizes: every layer size must be >= 1, got {sizes}")
-        if not (0 <= int(self.weight_seed) < 2**64):
+        if self.weight_seed >= 2**64:
             raise ConfigError("weight_seed: must fit in an unsigned 64-bit integer")
-        if self.weight_std <= 0:
-            raise ConfigError("weight_std: must be positive")
-
-    @property
-    def n_neurons(self) -> int:
-        return sum(self.layer_sizes)
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_sizes)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.layer_sizes[-1]
 
 
 def count_parameters(arch: Architecture) -> int:

@@ -14,32 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .schema import at_least, check_fields, positive
 
 
 @dataclass(frozen=True)
 class SwingUpParams:
-    m_cart: float = 0.5
-    m_pole: float = 0.5
-    length: float = 0.6  # full rod length
-    gravity: float = 9.82
-    friction: float = 0.1  # cart-ground friction coefficient on x velocity
-    force_mag: float = 10.0
-    dt: float = 0.01
-    x_threshold: float = 2.4
-    max_steps: int = 1000
-    reset_noise: float = 0.01  # uniform half-width around (0, 0, pi, 0)
+    m_cart: float = positive(0.5)
+    m_pole: float = positive(0.5)
+    length: float = positive(0.6)  # full rod length
+    gravity: float = positive(9.82)
+    friction: float = at_least(0, 0.1)  # cart-ground friction coefficient on x velocity
+    force_mag: float = positive(10.0)
+    dt: float = positive(0.01)
+    x_threshold: float = positive(2.4)
+    max_steps: int = at_least(1, 1000)
+    reset_noise: float = at_least(0, 0.01)  # uniform half-width around (0, 0, pi, 0)
 
-    def __post_init__(self):
-        for name in ("m_cart", "m_pole", "length", "gravity", "force_mag", "dt",
-                     "x_threshold"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        if self.friction < 0:
-            raise ConfigError("friction: must be non-negative")
-        if self.reset_noise < 0:
-            raise ConfigError("reset_noise: must be non-negative")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps: must be at least 1")
+    __post_init__ = check_fields
 
 
 def accelerations(params: SwingUpParams, state, force):
@@ -158,9 +149,10 @@ class BatchedSwingUp:
 
 def check_arch(arch):
     """Raise ConfigError unless the network's input and output layers fit this task."""
-    if (arch.obs_dim, arch.action_dim) != (BatchedSwingUp.obs_dim, BatchedSwingUp.action_dim):
+    sizes = arch.layer_sizes
+    if (sizes[0], sizes[-1]) != (BatchedSwingUp.obs_dim, BatchedSwingUp.action_dim):
         raise ConfigError(
-            f"arch.layer_sizes: {list(arch.layer_sizes)} must start with "
+            f"arch.layer_sizes: {list(sizes)} must start with "
             f"{BatchedSwingUp.obs_dim} inputs and end with {BatchedSwingUp.action_dim} "
             "output for the swing-up task"
         )

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as config_mod
-from .config import ExperimentConfig, from_preset, load_config, save_config
+from .config import (PRESETS, ExperimentConfig, from_dict, from_preset, load_config,
+                     save_config, to_dict)
 from .errors import CheckpointError, ConfigError, EvaluationError, EvoUnitsError
 from .genome import initial_genome
 from .architecture import count_parameters
@@ -31,7 +31,7 @@ from .harness import (
 from .network import load_champion, save_champion
 from .optimizers import GenerationRecord, PipelineRunner
 
-RUNNER_SCHEMA_VERSION = 1
+RUNNER_SCHEMA_VERSION = 2
 FINAL_EVAL_SEED_SUBOFFSET = 100_000
 
 HISTORY_COLUMNS = [f.name for f in fields(GenerationRecord)]
@@ -44,7 +44,7 @@ def _history_row(rec):
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
     payload = {
         "schema_version": RUNNER_SCHEMA_VERSION,
-        "config": cfg,
+        "config": to_dict(cfg),
         "out_dir": str(out_dir),
         "runner": runner,
     }
@@ -67,8 +67,10 @@ def _load_runner_checkpoint(path):
             payload = pickle.load(fh)
     except (OSError, pickle.UnpicklingError, EOFError) as exc:
         raise CheckpointError(f"cannot decode run checkpoint {path}: {exc}") from exc
-    if payload.get("schema_version") != RUNNER_SCHEMA_VERSION:
-        raise CheckpointError("unsupported run checkpoint schema")
+    version = payload.get("schema_version")
+    if version != RUNNER_SCHEMA_VERSION:
+        raise CheckpointError(f"schema_version: run checkpoint {path} has version "
+                              f"{version}; only version {RUNNER_SCHEMA_VERSION} resumes")
     return payload
 
 
@@ -125,7 +127,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
     def on_generation(r, rec):
         history.writerow(_history_row(rec))
         history_fh.flush()
-        if r.generation % cfg.checkpoint_every == 0 or r.finished:
+        if r.generation % cfg.run.checkpoint_every == 0 or r.finished:
             _save_runner_checkpoint(
                 ckpt_dir / f"runner_gen{r.generation}.pkl", cfg, out_dir, r
             )
@@ -145,7 +147,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         runner.run(eval_fn, periodic_eval, on_generation)
 
     final_report = evaluate(
-        runner.champion, arch, env_params, cfg.final_eval_episodes,
+        runner.champion, arch, env_params, cfg.evaluation.final_eval_episodes,
         cfg.master_seed + EVAL_SEED_OFFSET + FINAL_EVAL_SEED_SUBOFFSET,
         genome_id=f"{cfg.name}-champion",
     )
@@ -168,41 +170,43 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
     return 0
 
 
+def _overrides(args):
+    """Config overrides from the command-line flags that were given."""
+    overrides = {}
+    if getattr(args, "seed_override", None) is not None:
+        overrides["seeds"] = {"master_seed": args.seed_override}
+    if args.workers is not None:
+        overrides["run"] = {"workers": args.workers}
+    return overrides
+
+
 def cmd_train(args):
     if args.config:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _overrides(args))
     elif args.preset:
-        cfg = from_preset(args.preset)
+        cfg = from_preset(args.preset, _overrides(args))
     else:
         raise ConfigError("train: provide --config or --preset")
-    if args.seed_override is not None:
-        cfg.seeds["master_seed"] = args.seed_override
-        cfg.validate()
-    if args.workers is not None:
-        cfg.run["workers"] = args.workers
-        cfg.validate()
     return _run_training(cfg, Path(args.out_dir), quiet=args.quiet)
 
 
 def cmd_resume(args):
     payload = _load_runner_checkpoint(args.checkpoint)
-    cfg: ExperimentConfig = payload["config"]
+    cfg = from_dict(payload["config"], _overrides(args))
     runner: PipelineRunner = payload["runner"]
     if args.config:
-        current = load_config(args.config)
+        saved, given = to_dict(cfg), to_dict(load_config(args.config))
         for section in ("env", "arch", "optimizer", "seeds", "evaluation"):
-            if getattr(current, section) != getattr(cfg, section):
-                raise ConfigError(
-                    f"resume: config section {section!r} differs from the "
-                    "checkpointed run; refusing to continue"
-                )
+            for key, value in given[section].items():
+                if value != saved[section][key]:
+                    raise ConfigError(
+                        f"resume: {section}.{key} is {value!r} in --config but "
+                        f"{saved[section][key]!r} in the checkpointed run"
+                    )
     if runner.finished:
         print("run already finished; nothing to do")
         return 0
     out_dir = Path(args.out_dir) if args.out_dir else Path(payload["out_dir"])
-    if args.workers is not None:
-        cfg.run["workers"] = args.workers
-    cfg.validate()
     return _run_training(cfg, out_dir, runner=runner, quiet=args.quiet)
 
 
@@ -265,7 +269,7 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="run the staged training pipeline")
     p_train.add_argument("--config", help="YAML experiment config")
-    p_train.add_argument("--preset", choices=sorted(config_mod.PRESETS),
+    p_train.add_argument("--preset", choices=sorted(PRESETS),
                          help="built-in experiment preset")
     p_train.add_argument("--out-dir", required=True)
     p_train.add_argument("--workers", type=int, default=None)

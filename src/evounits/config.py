@@ -1,116 +1,85 @@
-"""Declarative experiment configuration: presets, YAML round-trip, validation."""
+"""Declarative experiment configuration: presets, YAML round-trip, validation.
+
+Every section is a frozen dataclass checked by ``schema.check_fields``, and
+every error names the dotted YAML field."""
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import yaml
 
 from .architecture import Architecture
 from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
-from .neural_unit import NeuronMode
 from .optimizers import PipelineConfig
+from .schema import at_least, check_fields, to_plain
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Fields each free-form section may set; arch, env and optimizer are checked
-# against the objects they build.
-SECTION_FIELDS = {
-    "seeds": {"master_seed", "weight_seed"},
-    "evaluation": {"episodes_per_candidate", "final_eval_episodes"},
-    "run": {"checkpoint_every", "workers"},
-}
+
+@dataclass(frozen=True)
+class SeedsSection:
+    master_seed: int = at_least(0, 0)
+    weight_seed: int = at_least(0, 0)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.weight_seed >= 2**64:
+            raise ConfigError("weight_seed: must fit in an unsigned 64-bit integer")
 
 
-@dataclass
+@dataclass(frozen=True)
+class EvaluationSection:
+    episodes_per_candidate: int = at_least(1, 1)
+    final_eval_episodes: int = at_least(1, 100)
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class RunSection:
+    checkpoint_every: int = at_least(1, 50)
+    workers: int = at_least(1, 1)
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    env: dict = field(default_factory=dict)  # SwingUpParams overrides
-    arch: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    evaluation: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
+    env: SwingUpParams
+    arch: Architecture  # its weight_seed is seeds.weight_seed
+    optimizer: PipelineConfig  # its seed is seeds.master_seed
+    seeds: SeedsSection
+    evaluation: EvaluationSection
+    run: RunSection
 
-    def env_params(self) -> SwingUpParams:
-        try:
-            return SwingUpParams(**self.env)
-        except TypeError as exc:
-            raise ConfigError(f"env: {exc}") from exc
+    def __post_init__(self):
+        check_fields(self)
+        check_arch(self.arch)
 
     def architecture(self) -> Architecture:
-        d = dict(self.arch)
-        try:
-            mode = NeuronMode(d.pop("neuron_mode"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"arch.neuron_mode: {exc}") from exc
-        if "layer_sizes" not in d:
-            raise ConfigError("arch.layer_sizes: missing")
-        layer_sizes = tuple(d.pop("layer_sizes"))
-        weight_std = d.pop("weight_std", 0.5)
-        if d:
-            raise ConfigError(f"arch: unknown fields {sorted(d)}")
-        return Architecture(
-            layer_sizes=layer_sizes,
-            neuron_mode=mode,
-            weight_seed=self.seeds.get("weight_seed", 0),
-            weight_std=weight_std,
-        )
+        return self.arch
+
+    def env_params(self) -> SwingUpParams:
+        return self.env
 
     def pipeline(self) -> PipelineConfig:
-        try:
-            return PipelineConfig(seed=self.master_seed, **self.optimizer)
-        except TypeError as exc:
-            raise ConfigError(f"optimizer: {exc}") from exc
-
-    def _int(self, section, name, default):
-        value = getattr(self, section).get(name, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{name}: must be an integer, got {value!r}")
-        return value
+        return self.optimizer
 
     @property
     def master_seed(self) -> int:
-        return self._int("seeds", "master_seed", 0)
+        return self.seeds.master_seed
 
     @property
     def episodes_per_candidate(self) -> int:
-        return self._int("evaluation", "episodes_per_candidate", 1)
-
-    @property
-    def final_eval_episodes(self) -> int:
-        return self._int("evaluation", "final_eval_episodes", 100)
-
-    @property
-    def checkpoint_every(self) -> int:
-        return self._int("run", "checkpoint_every", 50)
+        return self.evaluation.episodes_per_candidate
 
     @property
     def workers(self) -> int:
-        return self._int("run", "workers", 1)
-
-    def validate(self):
-        """Materialize every derived object so bad fields fail up front."""
-        for section, known in SECTION_FIELDS.items():
-            unknown = set(getattr(self, section)) - known
-            if unknown:
-                raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
-        if self.master_seed < 0:
-            raise ConfigError("seeds.master_seed: must be >= 0")
-        self.env_params()
-        check_arch(self.architecture())
-        self.pipeline()
-        if self.episodes_per_candidate < 1:
-            raise ConfigError("evaluation.episodes_per_candidate: must be >= 1")
-        if self.final_eval_episodes < 1:
-            raise ConfigError("evaluation.final_eval_episodes: must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ConfigError("run.checkpoint_every: must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("run.workers: must be >= 1")
-        return self
+        return self.run.workers
 
 
 _CARTPOLE_EVAL = {
@@ -163,33 +132,70 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def from_preset(name: str, overrides: dict = None) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError(
-            f"preset: unknown preset {name!r}; available: {sorted(PRESETS)}"
-        )
-    data = _deep_merge(PRESETS[name], overrides or {})
-    data.setdefault("name", name)
-    return _from_dict(data).validate()
+def _section(data, name, cls, **filled):
+    """Section ``name`` of ``data`` as a ``cls``; every error names the dotted
+    field. ``filled`` fields come from other sections and may not be set here."""
+    values = data.get(name, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name}: must be a mapping of fields, got {values!r}")
+    clash = set(values) & set(filled)
+    if clash:
+        raise ConfigError(f"{name}.{min(clash)}: is set in the seeds section")
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(values) - set(filled)
+    if missing:
+        raise ConfigError(f"{name}.{min(missing)}: missing")
+    try:
+        return cls(**values, **filled)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
-def _from_dict(data: dict) -> ExperimentConfig:
-    known = {"name", "env", "arch", "optimizer", "seeds", "evaluation", "run"}
-    unknown = set(data) - known - {"schema_version", "preset"}
+def from_dict(data: dict, overrides: dict = None) -> ExperimentConfig:
+    """Resolve a config mapping: its preset, then ``overrides``, then every
+    section built and checked."""
+    version = data.get("schema_version", CONFIG_SCHEMA_VERSION)
+    if version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: unsupported version {version}")
+    preset = data.get("preset")
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(
+                f"preset: unknown preset {preset!r}; available: {sorted(PRESETS)}"
+            )
+        data = _deep_merge(PRESETS[preset], {"name": preset, **data})
+    data = _deep_merge(data, overrides or {})
+    known = {f.name for f in fields(ExperimentConfig)} | {"schema_version", "preset"}
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(f"config: unknown top-level fields {sorted(unknown)}")
+    seeds = _section(data, "seeds", SeedsSection)
     return ExperimentConfig(
         name=data.get("name", "experiment"),
-        env=dict(data.get("env", {})),
-        arch=dict(data.get("arch", {})),
-        optimizer=dict(data.get("optimizer", {})),
-        seeds=dict(data.get("seeds", {})),
-        evaluation=dict(data.get("evaluation", {})),
-        run=dict(data.get("run", {})),
+        env=_section(data, "env", SwingUpParams),
+        arch=_section(data, "arch", Architecture, weight_seed=seeds.weight_seed),
+        optimizer=_section(data, "optimizer", PipelineConfig, seed=seeds.master_seed),
+        seeds=seeds,
+        evaluation=_section(data, "evaluation", EvaluationSection),
+        run=_section(data, "run", RunSection),
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def to_dict(cfg: ExperimentConfig) -> dict:
+    """Every resolved field, defaults included, as plain values that
+    :func:`from_dict` reads back to an equal config."""
+    data = to_plain(cfg)
+    del data["arch"]["weight_seed"], data["optimizer"]["seed"]  # from seeds
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **data}
+
+
+def from_preset(name: str, overrides: dict = None) -> ExperimentConfig:
+    return from_dict({"preset": name}, overrides)
+
+
+def load_config(path, overrides: dict = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -197,19 +203,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: expected a mapping at top level")
-    version = data.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: unsupported version {version}")
-    preset = data.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {preset!r}")
-        data = _deep_merge(PRESETS[preset], data)
-        data.setdefault("name", preset)
-    return _from_dict(data).validate()
+    return from_dict(data, overrides)
 
 
 def save_config(path, cfg: ExperimentConfig):
-    data = {"schema_version": CONFIG_SCHEMA_VERSION, **asdict(cfg)}
     with open(path, "w") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)
+        yaml.safe_dump(to_dict(cfg), fh, sort_keys=False)

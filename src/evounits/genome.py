@@ -14,15 +14,6 @@ from .errors import ConfigError
 from .neural_unit import PARAMS_PER_NEURON, NeuronMode
 
 
-def _check_length(arch, n):
-    expected = count_parameters(arch)
-    if n != expected:
-        raise ConfigError(
-            f"genome length mismatch: architecture {arch.layer_sizes} in mode "
-            f"{arch.neuron_mode.value} needs {expected} values, got {n}"
-        )
-
-
 def decode(genomes, arch: Architecture):
     """Unflatten genomes into per-layer parameter arrays.
 
@@ -33,7 +24,12 @@ def decode(genomes, arch: Architecture):
     and b (..., out).
     """
     g = np.atleast_1d(np.asarray(genomes, dtype=np.float64))
-    _check_length(arch, g.shape[-1])
+    expected = count_parameters(arch)
+    if g.shape[-1] != expected:
+        raise ConfigError(
+            f"genome length mismatch: architecture {arch.layer_sizes} in mode "
+            f"{arch.neuron_mode.value} needs {expected} values, got {g.shape[-1]}"
+        )
     lead = g.shape[:-1]
     sizes = arch.layer_sizes
     out = []
@@ -53,47 +49,6 @@ def decode(genomes, arch: Architecture):
     return out
 
 
-def encode(structured, arch: Architecture) -> np.ndarray:
-    """Inverse of :func:`decode`; concatenates in the frozen layout order."""
-    parts = []
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        if len(structured) != arch.n_layers - 1:
-            raise ConfigError(
-                f"expected {arch.n_layers - 1} (W, b) pairs, got {len(structured)}"
-            )
-        for k, (w, b) in enumerate(structured):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            fan_out, fan_in = arch.layer_sizes[k + 1], arch.layer_sizes[k]
-            if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-                raise ConfigError(
-                    f"layer {k}: expected W {(fan_out, fan_in)} and b {(fan_out,)}, "
-                    f"got {w.shape} and {b.shape}"
-                )
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-    else:
-        if len(structured) != arch.n_layers:
-            raise ConfigError(
-                f"expected {arch.n_layers} per-layer arrays, got {len(structured)}"
-            )
-        shape = (2, 3) if arch.neuron_mode is NeuronMode.RECURRENT else (2,)
-        for k, layer in enumerate(structured):
-            layer = np.asarray(layer, dtype=np.float64)
-            if layer.shape != (arch.layer_sizes[k],) + shape:
-                raise ConfigError(
-                    f"layer {k}: expected shape {(arch.layer_sizes[k],) + shape}, "
-                    f"got {layer.shape}"
-                )
-            parts.append(layer.ravel())
-    genome = np.concatenate(parts)
-    _check_length(arch, genome.size)
-    return genome
-
-
-def initial_genome(arch: Architecture, seed=None, std: float = 0.0) -> np.ndarray:
-    """Starting point for the search: zeros by default, seeded normals if std > 0."""
-    n = count_parameters(arch)
-    if std > 0.0:
-        return np.random.default_rng(seed).normal(0.0, std, size=n)
-    return np.zeros(n)
+def initial_genome(arch: Architecture) -> np.ndarray:
+    """Starting point for the search: the zero genome."""
+    return np.zeros(count_parameters(arch))

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .architecture import Architecture, count_parameters
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .genome import decode
 from .neural_unit import (
     NeuronMode,
@@ -18,6 +18,7 @@ from .neural_unit import (
     layer_step_simple,
     parameter_major,
 )
+from .schema import to_plain
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -230,26 +231,12 @@ class BatchedPolicy:
         return x.copy()
 
 
-def _arch_to_dict(arch: Architecture) -> dict:
-    return {
-        "layer_sizes": list(arch.layer_sizes),
-        "neuron_mode": arch.neuron_mode.value,
-        "weight_seed": int(arch.weight_seed),
-        "weight_std": float(arch.weight_std),
-    }
-
-
 def _arch_from_dict(d: dict) -> Architecture:
     # Older files list an output nonlinearity per output; tanh is the only one.
     kinds = d.get("output_kinds", ())
     if any(k != "tanh" for k in kinds):
         raise CheckpointError(f"arch.output_kinds: only tanh outputs exist, got {kinds}")
-    return Architecture(
-        layer_sizes=tuple(d["layer_sizes"]),
-        neuron_mode=NeuronMode(d["neuron_mode"]),
-        weight_seed=d["weight_seed"],
-        weight_std=d["weight_std"],
-    )
+    return Architecture(d["layer_sizes"], d["neuron_mode"], d["weight_seed"], d["weight_std"])
 
 
 def save_champion(path, arch: Architecture, genome, eval_info=None):
@@ -261,7 +248,7 @@ def save_champion(path, arch: Architecture, genome, eval_info=None):
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "kind": "champion",
-        "arch": _arch_to_dict(arch),
+        "arch": to_plain(arch),
         "genome": [float(v) for v in np.asarray(genome, dtype=np.float64)],
         "weight_checksum": checksum,
         "eval": eval_info,
@@ -292,6 +279,8 @@ def load_champion(path):
         recorded = payload["weight_checksum"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+    except ConfigError as exc:  # from Architecture, which names the field
+        raise CheckpointError(f"malformed checkpoint {path}: arch.{exc}") from exc
     if not np.all(np.isfinite(genome)):
         raise CheckpointError(f"malformed checkpoint {path}: genome has non-finite values")
     if genome.size != count_parameters(arch):

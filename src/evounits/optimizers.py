@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .schema import at_least, check_fields, positive
 
 log = logging.getLogger(__name__)
 
@@ -226,26 +227,25 @@ class OpenEs:
 class PipelineConfig:
     """Staged training schedule and optimizer hyperparameters."""
 
-    total_generations: int
+    total_generations: int = at_least(1)
     ga_generations: int = 100
-    ga_pop: int = 512
-    ga_elite_frac: float = 0.125
-    ga_mutation_std: float = 1.0
-    cmaes_pop: int = 128
-    cmaes_sigma0: float = 0.5
+    ga_pop: int = at_least(2, 512)
+    ga_elite_frac: float = positive(0.125)
+    ga_mutation_std: float = positive(1.0)
+    cmaes_pop: int = at_least(2, 128)
+    cmaes_sigma0: float = positive(0.5)
     optimizer_kind: str = "ga-cmaes"  # or "openes"
-    openes_pop: int = 128
-    openes_sigma: float = 0.1
+    openes_pop: int = at_least(2, 128)
+    openes_sigma: float = positive(0.1)
     openes_lr: float = 0.01
-    eval_every: int = 50
-    eval_episodes: int = 64
+    eval_every: int = at_least(1, 50)
+    eval_episodes: int = at_least(1, 64)
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.optimizer_kind not in ("ga-cmaes", "openes"):
             raise ConfigError(f"optimizer_kind: unknown kind {self.optimizer_kind!r}")
-        if self.total_generations < 1:
-            raise ConfigError("total_generations: must be at least 1")
         if self.optimizer_kind == "ga-cmaes" and not (
             0 < self.ga_generations <= self.total_generations
         ):
@@ -253,20 +253,10 @@ class PipelineConfig:
                 "ga_generations: must be in 1..total_generations "
                 f"(got {self.ga_generations} vs {self.total_generations})"
             )
-        for field in ("ga_pop", "cmaes_pop", "openes_pop"):
-            if getattr(self, field) < 2:
-                raise ConfigError(f"{field}: must be at least 2")
-        for field in ("ga_elite_frac", "ga_mutation_std", "cmaes_sigma0", "openes_sigma"):
-            if not getattr(self, field) > 0:
-                raise ConfigError(f"{field}: must be positive")
         if max(1, round(self.ga_pop * self.ga_elite_frac)) >= self.ga_pop:
             raise ConfigError("ga_elite_frac: must leave room for offspring")
         if self.openes_pop % 2:
             raise ConfigError("openes_pop: mirrored sampling needs an even population")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every: must be at least 1")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes: must be at least 1")
 
 
 @dataclass

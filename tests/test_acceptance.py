@@ -18,7 +18,7 @@ from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.cli import _run_training
 from evounits.config import from_preset
-from evounits.genome import decode, encode, initial_genome
+from evounits.genome import decode, initial_genome
 from evounits.harness import (
     EVAL_SEED_OFFSET,
     PopulationEvaluator,
@@ -34,6 +34,7 @@ from evounits.optimizers import (
     PipelineConfig,
     PipelineRunner,
 )
+from genomes import flat_genome
 
 
 def ok(name):
@@ -69,8 +70,8 @@ class TestPropertySuite:
             dim = count_parameters(arch)
             for _ in range(334):
                 g = rng.normal(0, 10, dim)
-                assert np.array_equal(encode(decode(g, arch), arch), g)
-        ok("genome encode/decode round-trip bit-exact over 1e3 random genomes")
+                assert np.array_equal(flat_genome(decode(g, arch)), g)
+        ok("genome decode/concatenate round-trip bit-exact over 1e3 random genomes")
 
     def test_weight_immutability_through_training(self, tmp_path):
         cfg = from_preset("cartpole-recurrent", {
@@ -121,7 +122,7 @@ class TestPropertySuite:
         rec = Architecture((3, 2, 1), NeuronMode.RECURRENT)
         layers = [np.zeros((n, 2, 3)) for n in rec.layer_sizes]
         layers[1][0] = [[1.5, 0.0, -0.3], [0.0, 0.0, 0.0]]
-        probe = probe_layer(encode(layers, rec), rec, 1)
+        probe = probe_layer(flat_genome(layers), rec, 1)
         assert np.max(np.abs(probe.outputs[:, 0] - np.tanh(1.5 * probe.inputs - 0.3))) <= 1e-12
         ok("simple-mode divergence exactly 0; state-decoupled probe == simple "
            "activation within 1e-12")

@@ -1,5 +1,6 @@
 import csv
 import json
+import pickle
 import shutil
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import rollout_oracle as oracle
 from evounits.architecture import Architecture
 from evounits.cartpole import SwingUpParams
 from evounits.cli import main
+from evounits.config import from_dict, load_config
 from evounits.genome import initial_genome
 from evounits.network import load_champion, save_champion
 from evounits.neural_unit import NeuronMode
@@ -71,6 +73,12 @@ class TestTrain:
         assert (trained_run / "eval.json").exists()
         assert (trained_run / "config.yaml").exists()
         assert (trained_run / "checkpoints" / "runner_gen1.pkl").exists()
+
+    def test_config_yaml_lists_every_resolved_field(self, tmp_path, trained_run):
+        saved = yaml.safe_load((trained_run / "config.yaml").read_text())
+        assert saved["env"]["dt"] == 0.01 and saved["run"]["workers"] == 1
+        assert load_config(trained_run / "config.yaml") == \
+            load_config(write_config(tmp_path / "cfg.yaml"))
 
     def test_rerun_is_deterministic(self, tmp_path, trained_run):
         cfg = write_config(tmp_path / "cfg2.yaml")
@@ -171,6 +179,9 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("seeds.master_seed", "abc"), ("evaluation.final_eval_episodes", 2.5),
         ("run.workers", True), ("run.checkpoint_every", "7"),
+        ("seeds.weight_seed", 1.7), ("env.max_steps", 20.5),
+        ("optimizer.ga_pop", 100.5), ("optimizer.ga_pop", "512"),
+        ("optimizer.eval_every", True),
     ])
     def test_non_integer_field_named_before_compute(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path / "bad.yaml", **{field: value})
@@ -179,6 +190,23 @@ class TestTrain:
                      "--quiet"]) == 1
         assert not out.exists()
         assert f"{field}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("arch.layer_sizes", [5, 12.7, 1], "arch.layer_sizes: must be a list of integers"),
+        ("arch.layer_sizes", [5, True, 1], "arch.layer_sizes: must be a list of integers"),
+        ("arch.weight_std", "0.5", "arch.weight_std: must be a finite number"),
+        ("env.dt", float("nan"), "env.dt: must be a finite number"),
+        ("optimizer.seed", 3, "optimizer.seed: "),
+        ("seeds", None, "seeds: must be a mapping"),
+    ])
+    def test_bad_value_named_before_compute(self, tmp_path, capsys, field, value,
+                                            message):
+        cfg = write_config(tmp_path / "bad.yaml", **{field: value})
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_negative_seed_override_rejected_before_compute(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml")
@@ -308,6 +336,17 @@ def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
     assert champ1["genome"] == champ2["genome"]
 
 
+def edited_checkpoint(trained_run, tmp_path, edit):
+    """A copy of the generation-2 checkpoint with ``edit`` applied to its payload."""
+    with open(trained_run / "checkpoints" / "runner_gen2.pkl", "rb") as fh:
+        payload = pickle.load(fh)
+    edit(payload)
+    ckpt = tmp_path / "edited.pkl"
+    with open(ckpt, "wb") as fh:
+        pickle.dump(payload, fh)
+    return ckpt
+
+
 class TestResume:
     def test_resume_matches_uninterrupted(self, trained_run, tmp_path):
         # Generation 2 is the hand-over to CMA-ES.
@@ -345,25 +384,42 @@ class TestResume:
 
         monkeypatch.setattr(cli.pickle, "dump", crashing_dump)
         with pytest.raises(OSError, match="disk full"):
-            cli._save_runner_checkpoint(target, later["config"], tmp_path, later["runner"])
+            cli._save_runner_checkpoint(target, from_dict(later["config"]), tmp_path,
+                                        later["runner"])
         monkeypatch.undo()
         assert [p.name for p in ckpt_dir.iterdir()] == ["runner.pkl"]
         assert cli._load_runner_checkpoint(target)["runner"].generation == 2
         assert main(["resume", "--checkpoint", str(target), "--out-dir",
                      str(tmp_path / "resumed"), "--quiet"]) == 0
 
-    def test_checkpointed_output_kinds_rejected(self, trained_run, tmp_path, capsys):
-        from evounits import cli
+    def test_resume_with_spelled_out_default_accepted(self, trained_run, tmp_path):
+        # A config that writes out a default resolves to the checkpointed one.
+        cfg = write_config(tmp_path / "same.yaml", env={"max_steps": 100, "dt": 0.01})
+        ckpt = trained_run / "checkpoints" / "runner_gen2.pkl"
+        out = tmp_path / "resumed"
+        assert main(["resume", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        assert history_without_wallclock(trained_run / "history.csv") == \
+            history_without_wallclock(out / "history.csv")
 
-        payload = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen2.pkl")
-        payload["config"].arch["output_kinds"] = ["tanh"]
-        ckpt = tmp_path / "old.pkl"
-        cli._save_runner_checkpoint(ckpt, payload["config"], tmp_path, payload["runner"])
+    def test_checkpointed_output_kinds_rejected(self, trained_run, tmp_path, capsys):
+        ckpt = edited_checkpoint(trained_run, tmp_path, lambda payload: payload[
+            "config"]["arch"].update(output_kinds=["tanh"]))
         out = tmp_path / "resumed"
         assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
                      "--quiet"]) == 1
         assert not out.exists()
         assert "output_kinds" in capsys.readouterr().err
+
+    def test_schema_1_checkpoint_rejected(self, trained_run, tmp_path, capsys):
+        # Version-1 checkpoints held a pickled config object, not its fields.
+        ckpt = edited_checkpoint(trained_run, tmp_path,
+                                 lambda payload: payload.update(schema_version=1))
+        out = tmp_path / "resumed"
+        assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
+                     "--quiet"]) == 2
+        assert not out.exists()
+        assert "schema_version" in capsys.readouterr().err
 
     def test_resume_missing_checkpoint(self, tmp_path):
         assert main(["resume", "--checkpoint", str(tmp_path / "nope.pkl"),

@@ -1,9 +1,10 @@
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
+import yaml
 
 from evounits.architecture import Architecture
-from evounits.config import PRESETS, from_preset
+from evounits.config import PRESETS, from_dict, from_preset, to_dict
 from evounits.errors import ConfigError
 from evounits.neural_unit import NeuronMode
 
@@ -30,9 +31,20 @@ def test_every_preset_resolves_to_its_pinned_values():
         cfg = from_preset(name)
         assert cfg.architecture() == Architecture(sizes, mode, weight_seed=0, weight_std=0.5)
         assert asdict(cfg.pipeline()) == pipeline
-        # Presets share an optimizer block; editing one config leaves the rest.
-        cfg.optimizer["ga_pop"] = 3
-        cfg.optimizer["eval_every"] = 7
+        # Presets share an optimizer block, and no config can edit it.
+        with pytest.raises(FrozenInstanceError):
+            cfg.optimizer.ga_pop = 3
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_round_trips_through_its_mapping(name):
+    # The mapping config.yaml and run checkpoints record: every resolved
+    # field once, seeds in their own section, plain YAML values only.
+    cfg = from_preset(name, {"seeds": {"master_seed": 4, "weight_seed": 9}})
+    data = yaml.safe_load(yaml.safe_dump(to_dict(cfg)))
+    assert "seed" not in data["optimizer"] and "weight_seed" not in data["arch"]
+    assert from_dict(data) == cfg
+    assert cfg.pipeline().seed == 4 and cfg.architecture().weight_seed == 9
 
 
 @pytest.mark.parametrize("sizes", [[4, 8, 1], [5, 8, 2], [4, 8, 3]])

@@ -5,7 +5,7 @@ from evounits import harness, network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError
-from evounits.genome import encode, decode, initial_genome
+from evounits.genome import decode, initial_genome
 from evounits.harness import (
     PopulationEvaluator,
     episode_trajectory,
@@ -16,6 +16,7 @@ from evounits.harness import (
     write_trace_csv,
 )
 from evounits.neural_unit import NeuronMode
+from genomes import flat_genome
 from unit_oracle import NeuronParams, activate_recurrent, activate_simple
 
 
@@ -224,7 +225,7 @@ class TestProbes:
         zeroed = [np.zeros_like(p) for p in layers]
         zeroed[1][2] = target
         full = probe_layer(g, a, 1)
-        alone = probe_layer(encode(zeroed, a), a, 1)
+        alone = probe_layer(flat_genome(zeroed), a, 1)
         assert np.array_equal(full.outputs[:, 2], alone.outputs[:, 2])
         assert np.array_equal(full.states[:, 2], alone.states[:, 2])
         assert full.divergence[2] == alone.divergence[2]
@@ -234,7 +235,7 @@ class TestProbes:
         a = rec_arch((3, 2, 1))
         layers = [np.zeros((n, 2, 3)) for n in a.layer_sizes]
         layers[1][0] = [[1.5, 0.0, -0.3], [0.0, 0.0, 0.0]]
-        g = encode(layers, a)
+        g = flat_genome(layers)
         probe = probe_layer(g, a, 1)
         expected = np.tanh(1.5 * probe.inputs - 0.3)
         np.testing.assert_allclose(probe.outputs[:, 0], expected, atol=1e-12)
@@ -274,13 +275,13 @@ class TestCompareOrderings:
         layers = [np.zeros((n, 2, 3)) for n in a.layer_sizes]
         for p in layers:
             p[:, 0, 0] = 1.0  # pass-through output row, no state coupling
-        assert probe_layer(encode(layers, a), a, 1).divergence.max() == 0.0
+        assert probe_layer(flat_genome(layers), a, 1).divergence.max() == 0.0
 
     def test_state_coupled_neuron_diverges(self):
         a = rec_arch((1, 1))
         layers = [np.zeros((1, 2, 3)), np.zeros((1, 2, 3))]
         layers[0][0] = [[1.0, 2.0, 0.0], [1.0, 0.9, 0.0]]  # strong feedback
-        assert probe_layer(encode(layers, a), a, 0).divergence.max() > 0.0
+        assert probe_layer(flat_genome(layers), a, 0).divergence.max() > 0.0
 
     def test_plain_tanh_rejected(self):
         a = Architecture((5, 4, 1), NeuronMode.PLAIN_TANH)

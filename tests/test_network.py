@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import BatchedSwingUp, SwingUpParams
 from evounits.errors import CheckpointError, ConfigError, DomainError
-from evounits.genome import decode, encode, initial_genome
+from evounits.genome import decode, initial_genome
 from evounits.harness import _fill_order
 from evounits.network import (
     BatchedPolicy,
@@ -16,7 +17,11 @@ from evounits.network import (
     weight_checksum,
 )
 from evounits.neural_unit import NeuronMode
+from genomes import flat_genome
 from rollout_oracle import FullBatchPolicy
+
+REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
+    "reference_champion.json"
 
 
 def rec_arch(sizes=(5, 128, 64, 1), seed=1):
@@ -47,7 +52,7 @@ class TestWeights:
         a = rec_arch()
         weights = sample_weights(a)
         assert [w.shape for w in weights] == [(128, 5), (64, 128), (1, 64)]
-        assert a.n_neurons == 198
+        assert sum(a.layer_sizes) == 198
 
     def test_same_seed_same_checksum(self):
         a = rec_arch(seed=42)
@@ -95,12 +100,12 @@ class TestPolicyForward:
         # Units [1, 0] on every neuron reduce to a tanh net over frozen weights.
         rng = np.random.default_rng(0)
         a = simple_arch((3, 4, 2), seed=11)
-        genome = np.tile([1.0, 0.0], a.n_neurons)
+        genome = np.tile([1.0, 0.0], sum(a.layer_sizes))
         net = BatchedPolicy(a, genome)
 
         ffnn_arch = Architecture((3, 4, 2), NeuronMode.PLAIN_TANH)
         structured = [(w, np.zeros(w.shape[0])) for w in net.weights]
-        ffnn = BatchedPolicy(ffnn_arch, encode(structured, ffnn_arch))
+        ffnn = BatchedPolicy(ffnn_arch, flat_genome(structured))
         for _ in range(10):
             obs = rng.normal(size=(1, 3))
             # Input units apply an extra tanh to the raw observation.
@@ -172,7 +177,7 @@ class TestPlainTanhPolicy:
         g = rng.normal(size=count_parameters(a))
         (w1, b1), (w2, b2) = decode(g, a)
         perm = [1, 0, 2, 3]
-        permuted = encode([(w1[perm], b1[perm]), (w2[:, perm], b2)], a)
+        permuted = flat_genome([(w1[perm], b1[perm]), (w2[:, perm], b2)])
         obs = rng.normal(size=3)
         out = BatchedPolicy(a, np.stack([g, permuted])).forward(np.tile(obs, (2, 1)))
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
@@ -342,4 +347,19 @@ class TestChampionCheckpoint:
     def test_non_tanh_output_kind_rejected(self, tmp_path):
         path, _, _ = self.older_file(tmp_path, ["sigmoid"])
         with pytest.raises(CheckpointError, match=r"arch\.output_kinds"):
+            load_champion(path)
+
+    # Each value once loaded as something else: a 128-unit layer, a bare
+    # TypeError from the weight sampler, a weight-checksum mismatch.
+    @pytest.mark.parametrize("field, value", [
+        ("layer_sizes", [5, 128.9, 64, 1]), ("weight_seed", 1.0), ("weight_std", True),
+    ])
+    def test_mistyped_arch_field_named(self, tmp_path, field, value):
+        import json
+
+        payload = json.loads(REFERENCE_CHAMPION.read_text())
+        payload["arch"][field] = value
+        path = tmp_path / "champ.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=rf"arch\.{field}: must be"):
             load_champion(path)
