@@ -141,8 +141,10 @@ class BatchedSwingUp:
         return self._observe(cos_theta), reward, self.done
 
     def keep(self, order):
-        """Keep the instances ``order`` (indices into those held), instance
-        ``order[j]`` moving to place j."""
+        """Keep the instances ``order`` (integer indices into those held),
+        instance ``order[j]`` moving to place j."""
+        if not np.issubdtype(np.asarray(order).dtype, np.integer):
+            raise DomainError(f"keep: order must hold integer indices, got {order!r}")
         self.state = self.state.take(order, axis=1)
         self.done = self.done[order]
 

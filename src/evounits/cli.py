@@ -31,7 +31,7 @@ from .harness import (
 from .network import load_champion, save_champion
 from .optimizers import GenerationRecord, PipelineRunner
 
-RUNNER_SCHEMA_VERSION = 2
+RUNNER_SCHEMA_VERSION = 3
 FINAL_EVAL_SEED_SUBOFFSET = 100_000
 
 HISTORY_COLUMNS = [f.name for f in fields(GenerationRecord)]

@@ -26,6 +26,7 @@ from .neural_unit import (
     parameter_major,
 )
 from .network import PRODUCT_ROWS, BatchedPolicy, rows_movable
+from .schema import integer
 
 # Evaluation episode seeds live far away from training seeds (which count up
 # from the master seed by generation).
@@ -135,11 +136,11 @@ class PopulationEvaluator:
                  episodes_per_candidate=1, train_seed_base=0, workers=1):
         self.arch = arch
         self.env_params = env_params
-        self.episodes = int(episodes_per_candidate)
+        self.episodes = integer("episodes_per_candidate", episodes_per_candidate)
         if self.episodes < 1:
             raise ConfigError("episodes_per_candidate: must be at least 1")
-        self.train_seed_base = int(train_seed_base)
-        self.workers = int(workers)
+        self.train_seed_base = integer("train_seed_base", train_seed_base)
+        self.workers = integer("workers", workers)
 
     def seeds_for_generation(self, generation):
         base = self.train_seed_base + generation * self.episodes
@@ -207,19 +208,16 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
     n = params.shape[-1]
     inputs = np.linspace(lo, hi, n_points)
     sweeps = np.stack([inputs, inputs[::-1]], axis=1)[:, :, None]  # (t, row, 1)
-    outputs = np.empty((n_points, 2, n))
-    states = None
-    if mode is NeuronMode.SIMPLE:
-        for t, x in enumerate(sweeps):
-            outputs[t] = layer_step_simple(params, x)
-    else:
-        states = np.empty((n_points, 2, n))
-        out, tmp = np.zeros((2, 2, n)), np.empty((2, n))
-        for t, x in enumerate(sweeps):
-            outputs[t], states[t] = layer_step_recurrent(params, x, out[1], out, tmp)
+    recurrent = mode is NeuronMode.RECURRENT
+    step = layer_step_recurrent if recurrent else layer_step_simple
+    out, tmp = np.zeros((2 if recurrent else 1, 2, n)), np.empty((2, n))
+    traces = np.empty((n_points, *out.shape))  # per step: out, then state if any
+    for t, x in enumerate(sweeps):
+        step(params, x, out, tmp)
+        traces[t] = out
     # Align by input value: reverse the downward sweep.
-    divergence = np.abs(outputs[:, 0] - outputs[::-1, 1]).max(axis=0)
-    return LayerProbe(inputs, outputs[:, 0], None if states is None else states[:, 0],
+    divergence = np.abs(traces[:, 0, 0] - traces[::-1, 0, 1]).max(axis=0)
+    return LayerProbe(inputs, traces[:, 0, 0], traces[:, 1, 0] if recurrent else None,
                       divergence)
 
 

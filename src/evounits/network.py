@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .architecture import Architecture, count_parameters
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, DomainError
 from .genome import decode
 from .neural_unit import (
     NeuronMode,
@@ -148,15 +148,18 @@ class BatchedPolicy:
         # Live-row inputs of each weight product (see _weight_product).
         self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
         self.params = [parameter_major(p, self.mode) for p in decode(genomes, arch)]
-        # Per recurrent layer, plane 0 holds the unit outputs and plane 1 the
-        # states of the live rows [:m]. Products and unit steps share _scratch.
-        recurrent = self.mode is NeuronMode.RECURRENT
-        self.planes = [np.zeros((2, self.batch, n)) for n in arch.layer_sizes if recurrent]
+        # Per layer, plane 0 holds the unit outputs of the live rows [:m]
+        # and, for recurrent units, plane 1 their states. Products and unit
+        # steps share _scratch.
+        k = 2 if self.mode is NeuronMode.RECURRENT else 1
+        self.planes = [np.zeros((k, self.batch, n)) for n in arch.layer_sizes]
         self._scratch = np.empty((2, self.batch * max(arch.layer_sizes)))
 
     def keep(self, order):
-        """Keep the live rows ``order`` (indices into the live rows), row
-        ``order[j]`` moving to place j; only rows that move are copied."""
+        """Keep the live rows ``order`` (integer indices into the live rows),
+        row ``order[j]`` moving to place j; only rows that move are copied."""
+        if not np.issubdtype(np.asarray(order).dtype, np.integer):
+            raise DomainError(f"keep: order must hold integer indices, got {order!r}")
         self.rows = self.rows[order]
         if self.mode is NeuronMode.PLAIN_TANH:
             self.layers = [(w[order], b[order]) for w, b in self.layers]
@@ -219,15 +222,12 @@ class BatchedPolicy:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
         m = x.shape[0]
-        recurrent = self.mode is NeuronMode.RECURRENT
+        step = layer_step_recurrent if self.mode is NeuronMode.RECURRENT else layer_step_simple
         for k, n in enumerate(self.arch.layer_sizes):
             pre = x if k == 0 else self._weight_product(k - 1, x)
-            if recurrent:
-                out = self.planes[k][:, :m]
-                tmp = self._scratch[1, : m * n].reshape(m, n)
-                x, _ = layer_step_recurrent(self.params[k], pre, out[1], out, tmp)
-            else:
-                x = layer_step_simple(self.params[k], pre)
+            out = self.planes[k][:, :m]
+            step(self.params[k], pre, out, self._scratch[1, : m * n].reshape(m, n))
+            x = out[0]
         return x.copy()
 
 

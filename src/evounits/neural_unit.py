@@ -37,24 +37,26 @@ def parameter_major(values, mode: NeuronMode):
     return np.array(np.moveaxis(values, range(nd - k, nd), range(k)), order="C")
 
 
-def layer_step_recurrent(values, x, h, out, tmp):
+def layer_step_recurrent(values, x, out, tmp):
     """Vectorized recurrent step for a whole layer (or batch of layers),
     written into ``out`` without allocating.
 
     values: (2, 3, ..., n), parameter-major (see :func:`parameter_major`);
-    x, h and the scratch ``tmp``: (..., n); ``out``: (2, ..., n) receives
-    [output, new state]. ``h`` may be ``out[1]``: each plane reads ``h``
-    before it writes that plane. Returns (out[0], out[1]).
+    x and the scratch ``tmp``: (..., n); ``out``: (2, ..., n) holds
+    [output, state] and receives [output, new state]. Each plane reads the
+    state before it writes that plane.
     """
     for i, plane in enumerate(out):
-        np.multiply(values[i, 1], h, out=tmp)
+        np.multiply(values[i, 1], out[1], out=tmp)
         np.multiply(values[i, 0], x, out=plane)
         plane += tmp
         plane += values[i, 2]
     np.tanh(out, out=out)
-    return out[0], out[1]
 
 
-def layer_step_simple(values, x):
-    """Vectorized simple step: values (2, ..., n) holds the [scale, bias] planes."""
-    return np.tanh(values[0] * x + values[1])
+def layer_step_simple(values, x, out, tmp=None):
+    """The stateless :func:`layer_step_recurrent` (``tmp`` unused): values
+    (2, ..., n) holds the [scale, bias] planes; ``out`` (1, ..., n)."""
+    np.multiply(values[0], x, out=out[0])
+    out += values[1]
+    np.tanh(out, out=out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .schema import at_least, check_fields, positive
+from .schema import at_least, check_fields, integer, positive
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ class GeneticAlgorithm:
 
     def __init__(self, x0, popsize=512, elite_frac=0.125, mutation_std=1.0, seed=None):
         self.dim = len(x0)
-        self.popsize = int(popsize)
+        self.popsize = integer("popsize", popsize)
         self.n_elite = max(1, int(round(self.popsize * elite_frac)))
         if self.n_elite >= self.popsize:
             raise ConfigError("elite_frac: must leave room for offspring")
@@ -46,9 +46,6 @@ class GeneticAlgorithm:
         pop = np.tile(x0, (self.popsize, 1))
         pop[1:] += self.rng.normal(0.0, self.mutation_std, size=(self.popsize - 1, self.dim))
         self.population = pop
-        self.best = x0.copy()
-        self.best_fitness = -np.inf
-        self.generation = 0
 
     def ask(self):
         return self.population.copy()
@@ -57,15 +54,11 @@ class GeneticAlgorithm:
         f = _check_fitnesses(fitnesses, self.popsize)
         order = np.argsort(-f, kind="stable")
         elites = self.population[order[: self.n_elite]]
-        if f[order[0]] > self.best_fitness:
-            self.best_fitness = float(f[order[0]])
-            self.best = self.population[order[0]].copy()
         n_children = self.popsize - self.n_elite
         # Mutated in place: one population-sized array fewer at tell's peak.
         children = elites[self.rng.integers(0, self.n_elite, size=n_children)]
         children += self.rng.normal(0.0, self.mutation_std, size=(n_children, self.dim))
         self.population = np.vstack([elites, children])
-        self.generation += 1
 
 
 class CmaEs:
@@ -81,7 +74,7 @@ class CmaEs:
         n = self.dim = len(x0)
         if sigma0 <= 0:
             raise ConfigError("sigma0: must be positive")
-        self.popsize = 4 + int(3 * math.log(n)) if popsize is None else int(popsize)
+        self.popsize = 4 + int(3 * math.log(n)) if popsize is None else integer("popsize", popsize)
         if self.popsize < 2:
             raise ConfigError("popsize: CMA-ES needs at least 2 candidates")
         lam = self.popsize
@@ -108,9 +101,6 @@ class CmaEs:
         self.p_c = np.zeros(n)
         self.generation = 0
         self.rng = np.random.default_rng(seed)
-
-        self.best = x0.copy()
-        self.best_fitness = -np.inf
         self._pending = None
 
     def _update_eigensystem(self):
@@ -141,10 +131,6 @@ class CmaEs:
         n = self.dim
 
         order = np.argsort(-f, kind="stable")
-        if f[order[0]] > self.best_fitness:
-            self.best_fitness = float(f[order[0]])
-            self.best = self.mean + self.sigma * y[order[0]]
-
         y_sel = y[order[: self.mu]]
         y_w = self.weights @ y_sel
         self.mean = self.mean + self.sigma * y_w
@@ -185,17 +171,14 @@ class OpenEs:
     """
 
     def __init__(self, x0, sigma=0.1, lr=0.01, popsize=128, seed=None):
+        self.popsize = integer("popsize", popsize)
         if popsize % 2 != 0:
             raise ConfigError("popsize: mirrored sampling needs an even population")
         self.dim = len(x0)
-        self.popsize = int(popsize)
         self.sigma = float(sigma)
         self.lr = float(lr)
         self.center = np.asarray(x0, dtype=np.float64).copy()
         self.rng = np.random.default_rng(seed)
-        self.generation = 0
-        self.best = self.center.copy()
-        self.best_fitness = -np.inf
         self._pending = None
 
     def ask(self):
@@ -212,15 +195,10 @@ class OpenEs:
         f = _check_fitnesses(fitnesses, self.popsize)
         eps = self._pending
         self._pending = None
-        i_best = int(np.argmax(f))
-        if f[i_best] > self.best_fitness:
-            self.best_fitness = float(f[i_best])
-            self.best = self.center + self.sigma * eps[i_best]
         # Average ranks on ties so a flat landscape yields a zero update.
         shaped = (average_ranks(f) - 1) / (self.popsize - 1) - 0.5
         grad = shaped @ eps
         self.center = self.center + self.lr / (self.popsize * self.sigma) * grad
-        self.generation += 1
 
 
 @dataclass(frozen=True)
@@ -274,6 +252,8 @@ class GenerationRecord:
 class PipelineRunner:
     """Drives the staged search and keeps all state needed to resume.
 
+    ``best``/``best_fitness`` record the current stage's fittest candidate,
+    the first on ties; before its first generation, its start point at -inf.
     The runner is picklable between generations; evaluation callables are
     supplied to :meth:`run` so checkpoints never capture closures.
     """
@@ -300,6 +280,8 @@ class PipelineRunner:
             )
         self.generation = 0
         self.history: list[GenerationRecord] = []
+        self.best = x0.copy()
+        self.best_fitness = -np.inf
         self.champion = x0.copy()
         self.champion_eval_mean = -np.inf
         self.champion_eval_std = float("nan")
@@ -315,8 +297,9 @@ class PipelineRunner:
             and self.generation < self.cfg.total_generations
         ):
             self.stage = "cmaes"
+            self.best_fitness = -np.inf
             self.optimizer = CmaEs(
-                self.optimizer.best,
+                self.best,
                 sigma0=self.cfg.cmaes_sigma0,
                 popsize=self.cfg.cmaes_pop,
                 seed=self._opt_seeds[1],
@@ -333,6 +316,9 @@ class PipelineRunner:
         i_best = int(np.argmax(fitnesses))
         gen_best = candidates[i_best]
         self.optimizer.tell(fitnesses)
+        if fitnesses[i_best] > self.best_fitness:
+            self.best_fitness = float(fitnesses[i_best])
+            self.best = np.array(gen_best)
         rec = GenerationRecord(
             generation=self.generation,
             stage=self.stage,
@@ -364,7 +350,7 @@ class PipelineRunner:
                 on_generation(self, rec)
         if self.champion_eval_mean == -np.inf:
             # No periodic evaluation ran; fall back to the best training fitness.
-            self.champion = np.array(self.optimizer.best)
-            self.champion_eval_mean = float(self.optimizer.best_fitness)
+            self.champion = np.array(self.best)
+            self.champion_eval_mean = self.best_fitness
         return self
 

@@ -17,6 +17,13 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def integer(name, value):
+    """``value`` as an int; ConfigError names ``name`` unless it is a non-bool integer."""
+    if not _is_int(value):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
 # annotation: (accepts, stored as, what a value must be)
 _KINDS = {
     int: (_is_int, int, "an integer"),

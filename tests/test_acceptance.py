@@ -52,11 +52,12 @@ class TestPropertySuite:
         params = rng.normal(0, 5, (2, 3, n))  # parameter-major: one plane per coefficient
         x = rng.normal(0, 5, n)
         h = rng.uniform(-1, 1, n)
-        out, h_new = layer_step_recurrent(params, x, h, np.empty((2, n)), np.empty(n))
-        assert np.all(np.abs(out) <= 1.0) and np.all(np.abs(h_new) <= 1.0)
-        out0, h0 = layer_step_recurrent(np.zeros((2, 3, 10)), np.ones(10), np.ones(10),
-                                        np.empty((2, 10)), np.empty(10))
-        assert not out0.any() and not h0.any()
+        planes = np.stack([np.empty(n), h])
+        layer_step_recurrent(params, x, planes, np.empty(n))
+        assert np.all(np.abs(planes) <= 1.0)
+        planes0 = np.ones((2, 10))
+        layer_step_recurrent(np.zeros((2, 3, 10)), np.ones(10), planes0, np.empty(10))
+        assert not planes0.any()
         ok("unit outputs/states in [-1,1] over 1e5 samples; zero-param identities")
 
     def test_genome_round_trip_bit_exact(self):
@@ -152,10 +153,13 @@ class TestOptimizerOracles:
                 50, x0,
             ).run(lambda c, g: sphere(c))
             ga = GeneticAlgorithm(x0, popsize=512, seed=seed)
+            ga_best = -np.inf
             for _ in range(500):
-                ga.tell(sphere(ga.ask()))
+                f = sphere(ga.ask())
+                ga_best = max(ga_best, f.max())
+                ga.tell(f)
             pipe_best = max(r.best_fitness for r in pipe.history)
-            wins += pipe_best > ga.best_fitness
+            wins += pipe_best > ga_best
         assert wins >= 4, f"pipeline won only {wins}/5"
         ok("pipeline (100 GA + 400 CMA-ES) beats 500-gen GA on sphere dim 50 "
            f"in {wins}/5 seeds")

@@ -120,6 +120,9 @@ class TestStep:
             pass
         with pytest.raises(DomainError):
             env.step(np.array([1.0, 0.0]))
+        # keep() takes indices; a boolean mask would be read as rows 1 and 0.
+        with pytest.raises(DomainError):
+            env.keep(~env.done)
         env.keep(np.flatnonzero(~env.done))
         env.step(np.zeros(1))
 

@@ -411,10 +411,14 @@ class TestResume:
         assert not out.exists()
         assert "output_kinds" in capsys.readouterr().err
 
-    def test_schema_1_checkpoint_rejected(self, trained_run, tmp_path, capsys):
-        # Version-1 checkpoints held a pickled config object, not its fields.
-        ckpt = edited_checkpoint(trained_run, tmp_path,
-                                 lambda payload: payload.update(schema_version=1))
+    def test_schema_2_checkpoint_rejected(self, trained_run, tmp_path, capsys):
+        # Version-2 checkpoints pickled a runner without the record of its
+        # stage's best candidate, which the optimizer kept then.
+        def as_version_2(payload):
+            payload["schema_version"] = 2
+            del payload["runner"].best, payload["runner"].best_fitness
+
+        ckpt = edited_checkpoint(trained_run, tmp_path, as_version_2)
         out = tmp_path / "resumed"
         assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
                      "--quiet"]) == 2

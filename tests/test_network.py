@@ -252,21 +252,29 @@ class TestBatchedPolicy:
                 np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
     def test_forward_allocates_no_layer_plane(self):
-        # Unit steps and products write into the policy's own buffers; the
-        # old path allocated several (rows, 128) temporaries per step.
-        a = rec_arch()
-        rng = np.random.default_rng(15)
-        net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
-        obs = rng.normal(size=(512, 5))
-        net.forward(obs)  # probes the product buckets once per process
-        tracemalloc.start()
-        try:
-            action = net.forward(obs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert action.shape == (512, 1)
-        assert peak < 512 * 128 * 8  # one (512, 128) float64 plane
+        # Unit steps and products write into the policy's own buffers, in
+        # both unit modes; the old paths allocated (rows, 128) temporaries.
+        for a in (rec_arch(), simple_arch((5, 128, 64, 1))):
+            rng = np.random.default_rng(15)
+            net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
+            obs = rng.normal(size=(512, 5))
+            net.forward(obs)  # probes the product buckets once per process
+            tracemalloc.start()
+            try:
+                action = net.forward(obs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert action.shape == (512, 1)
+            assert peak < 512 * 128 * 8, a.neuron_mode  # one (512, 128) float64 plane
+
+    def test_keep_rejects_boolean_mask(self):
+        # A mask would be read as row indices 1 and 0.
+        a = rec_arch((5, 4, 1))
+        net = BatchedPolicy(a, np.zeros((3, count_parameters(a))))
+        with pytest.raises(DomainError, match="integer"):
+            net.keep(np.array([True, False, True]))
+        assert net.rows.tolist() == [0, 1, 2]
 
 class TestChampionCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

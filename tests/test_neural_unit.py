@@ -147,24 +147,24 @@ class TestLayerStepsMatchScalarOracle:
         values = rng.normal(0, 3, (n, 2, 3))
         x = rng.normal(0, 3, n)
         h = rng.uniform(-1, 1, n)
-        buf = np.empty((2, n))
-        out, h_new = layer_step_recurrent(np.moveaxis(values, (1, 2), (0, 1)), x, h, buf,
-                                          np.empty(n))
-        assert out.base is buf and h_new.base is buf
+        buf = np.stack([np.empty(n), h])
+        layer_step_recurrent(np.moveaxis(values, (1, 2), (0, 1)), x, buf, np.empty(n))
+        out, h_new = buf
         want = [activate_recurrent(recurrent_params(v), xi, hi)
                 for v, xi, hi in zip(values, x, h)]
         assert np.array_equal(out, [w[0] for w in want])
         assert np.array_equal(h_new, [w[1] for w in want])
 
         ab = values[:, 0, :2]
-        simple_out = layer_step_simple(ab.T, x)
+        simple_out = np.empty((1, n))
+        layer_step_simple(ab.T, x, simple_out)
         assert np.array_equal(
-            simple_out, [activate_simple(simple_params(a, b), xi) for (a, b), xi in zip(ab, x)]
+            simple_out[0], [activate_simple(simple_params(a, b), xi) for (a, b), xi in zip(ab, x)]
         )
 
     def test_state_in_place_over_steps(self):
-        # The policy passes a layer's state plane as h and writes the new
-        # state over it; every step must still match the scalar oracle.
+        # The step reads a layer's state from its state plane and writes the
+        # new state over it; every step must still match the scalar oracle.
         rng = np.random.default_rng(1)
         rows, n = 7, 33
         values = rng.normal(0, 2, (rows, n, 2, 3))
@@ -174,9 +174,8 @@ class TestLayerStepsMatchScalarOracle:
         want_h = [0.0] * len(units)
         for _ in range(6):
             x = rng.normal(0, 2, (rows, n))
-            out, h_new = layer_step_recurrent(np.moveaxis(values, (2, 3), (0, 1)), x,
-                                              planes[1], planes, tmp)
-            assert h_new.base is planes
+            layer_step_recurrent(np.moveaxis(values, (2, 3), (0, 1)), x, planes, tmp)
+            out = planes[0]
             want = [activate_recurrent(u, xi, hi)
                     for u, xi, hi in zip(units, x.ravel(), want_h)]
             assert np.array_equal(out.ravel(), [w[0] for w in want])

@@ -1,7 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from evounits.architecture import Architecture
+from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError, DomainError
+from evounits.harness import PopulationEvaluator
+from evounits.neural_unit import NeuronMode
 from evounits.optimizers import (
     CmaEs,
     GeneticAlgorithm,
@@ -16,19 +22,44 @@ def sphere(x):
     return -np.sum(np.square(x), axis=-1)
 
 
+_evaluator = partial(PopulationEvaluator, Architecture((5, 4, 1), NeuronMode.RECURRENT),
+                     SwingUpParams())
+NON_INTEGER_ARGS = [
+    (partial(GeneticAlgorithm, np.zeros(3)), "popsize", 8.7),
+    (partial(GeneticAlgorithm, np.zeros(3)), "popsize", True),
+    (partial(CmaEs, np.zeros(3)), "popsize", 5.9),
+    (partial(OpenEs, np.zeros(3)), "popsize", 8.0),
+    (_evaluator, "episodes_per_candidate", 2.5),
+    (_evaluator, "train_seed_base", 1.9),
+    (_evaluator, "workers", 1.5),
+]
+
+
+@pytest.mark.parametrize("make, arg, value", NON_INTEGER_ARGS,
+                         ids=[f"{m.func.__name__}-{a}-{v}" for m, a, v in NON_INTEGER_ARGS])
+def test_non_integer_argument_named(make, arg, value):
+    # Rejected, not truncated; numpy integers are integers.
+    with pytest.raises(ConfigError, match=f"^{arg}: must be an integer"):
+        make(**{arg: value})
+    make(**{arg: np.int64(2)})
+
+
 class TestGeneticAlgorithm:
     def test_population_shape(self):
         ga = GeneticAlgorithm(np.zeros(7), popsize=32, seed=0)
         assert ga.ask().shape == (32, 7)
 
     def test_constant_landscape_keeps_best(self):
-        ga = GeneticAlgorithm(np.zeros(5), popsize=16, seed=1)
-        bests = []
+        # On ties the first candidate is the best one: the start point, which
+        # also survives as the first elite.
+        x0 = np.arange(5.0)
+        runner = PipelineRunner(PipelineConfig(total_generations=10, ga_generations=10,
+                                               ga_pop=16, seed=1), 5, x0)
         for _ in range(10):
-            pop = ga.ask()
-            ga.tell(np.full(16, 3.0))
-            bests.append(ga.best_fitness)
-        assert all(b == 3.0 for b in bests)
+            runner.step(lambda c, g: np.full(16, 3.0))
+            assert runner.best_fitness == 3.0
+            assert np.array_equal(runner.best, x0)
+            assert np.array_equal(runner.optimizer.ask()[0], x0)
 
     def test_elites_survive_unchanged(self):
         ga = GeneticAlgorithm(np.zeros(6), popsize=16, elite_frac=0.25, seed=2)
@@ -72,13 +103,12 @@ class TestGeneticAlgorithm:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             ga = GeneticAlgorithm(rng.normal(0, 3, 20), popsize=64, seed=seed)
-            first = None
+            per_gen_best = []
             for _ in range(50):
                 f = sphere(ga.ask())
-                if first is None:
-                    first = f.max()
+                per_gen_best.append(f.max())
                 ga.tell(f)
-            assert ga.best_fitness > first
+            assert max(per_gen_best) > per_gen_best[0]
 
 
 class TestCmaEs:
@@ -285,13 +315,43 @@ class TestPipeline:
 
     def test_stage_handoff_uses_ga_best(self):
         cfg = self.cfg(total_generations=11)
-        runner = PipelineRunner(cfg, 5, np.zeros(5))
+        runner = PipelineRunner(cfg, 5, np.full(5, 2.0))
+        seen = []
+
+        def recording_eval(candidates, generation):
+            seen.append((candidates.copy(), sphere(candidates)))
+            return seen[-1][1]
+
         for _ in range(10):
-            runner.step(_deterministic_eval)
+            runner.step(recording_eval)
         assert runner.stage == "cmaes"
-        # The CMA-ES mean starts at the GA champion.
-        ga_best_fitness = max(r.best_fitness for r in runner.history)
-        assert sphere(runner.optimizer.mean) == pytest.approx(ga_best_fitness)
+        # The CMA-ES mean starts at the GA-stage candidate of highest
+        # training fitness, the first one on ties.
+        candidates = np.concatenate([c for c, _ in seen])
+        fitnesses = np.concatenate([f for _, f in seen])
+        assert np.array_equal(runner.optimizer.mean, candidates[np.argmax(fitnesses)])
+        assert runner.best_fitness == -np.inf
+
+    @pytest.mark.parametrize("total", [10, 20])
+    def test_run_without_periodic_eval_returns_stage_best(self, total):
+        # Pure GA, or GA then CMA-ES: the champion is the current stage's
+        # candidate of highest training fitness.
+        cfg = self.cfg(total_generations=total, ga_generations=10)
+        first = 10 if total > 10 else 0
+        seen = []
+
+        def recording_eval(candidates, generation):
+            f = sphere(candidates)
+            if generation >= first:
+                seen.append((candidates.copy(), f))
+            return f
+
+        result = PipelineRunner(cfg, 5, np.full(5, 2.0)).run(recording_eval)
+        candidates = np.concatenate([c for c, _ in seen])
+        fitnesses = np.concatenate([f for _, f in seen])
+        i = np.argmax(fitnesses)
+        assert np.array_equal(result.champion, candidates[i])
+        assert result.champion_eval_mean == fitnesses[i]
 
     def test_openes_pipeline_stage(self):
         cfg = PipelineConfig(
@@ -313,11 +373,13 @@ class TestPipeline:
                 50, x0,
             ).run(_deterministic_eval)
             ga = GeneticAlgorithm(x0, popsize=64, seed=seed)
+            ga_best = -np.inf
             for _ in range(50):
                 f = _deterministic_eval(ga.ask(), 0)
+                ga_best = max(ga_best, f.max())
                 ga.tell(f)
             pipe_best = max(r.best_fitness for r in pipe.history)
-            if pipe_best > ga.best_fitness:
+            if pipe_best > ga_best:
                 wins += 1
         assert wins >= 4
 
