@@ -156,6 +156,8 @@ class PopulationEvaluator:
 def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
              n_episodes, base_seed, genome_id="genome") -> EvalReport:
     """Score one genome over episodes seeded base_seed .. base_seed+n-1."""
+    n_episodes = integer("n_episodes", n_episodes)
+    base_seed = integer("base_seed", base_seed)
     if n_episodes < 1:
         raise ConfigError("n_episodes: must be at least 1")
     if base_seed < 0:
@@ -200,6 +202,8 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
     mode = arch.neuron_mode
     if mode is NeuronMode.PLAIN_TANH:
         raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
+    layer = integer("layer", layer)
+    n_points = integer("n_points", n_points)
     if not (0 <= layer < arch.n_layers):
         raise ConfigError(
             f"layer: index {layer} out of range for {arch.n_layers} layers"

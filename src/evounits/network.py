@@ -48,18 +48,18 @@ def weight_checksum(weights) -> str:
 # many rows, whatever the batch size, the live set or the worker split.
 PRODUCT_ROWS = 128
 
-# Tables of bucket_table, keyed by (fan_in, fan_out), and results of
-# prefix_verified, keyed by (fan_in, fan_out, m). Each is probed the first
-# time a product needs it.
+# Tables of bucket_table, keyed by (fan_in, fan_out, the batch's row count
+# or PRODUCT_ROWS where that count adds no size), each probed the first time
+# a product needs it.
 _BUCKETS = {}
-_PREFIXES = {}
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
 
 
-def _probe_buckets(fan_in, fan_out):
-    """Powers of two b < PRODUCT_ROWS whose b-row products match a
-    PRODUCT_ROWS-row product, or none where its rows depend on their place.
+def _probe_buckets(fan_in, fan_out, sizes):
+    """Those of ``sizes`` (row counts b < PRODUCT_ROWS) whose b-row products
+    match a PRODUCT_ROWS-row product, or none where its rows depend on their
+    place.
 
     Each of PROBE_TRIALS trials draws a fresh fixed-seed random
     (PRODUCT_ROWS, fan_in) matrix and row order; the reordered matrix must
@@ -70,7 +70,7 @@ def _probe_buckets(fan_in, fan_out):
     rng = np.random.default_rng(PROBE_SEED)
     w_t = rng.normal(size=(fan_out, fan_in)).T
     buf = np.empty((PRODUCT_ROWS, fan_in))
-    sizes = [1 << i for i in range((PRODUCT_ROWS - 1).bit_length())]
+    sizes = list(sizes)
     for _ in range(PROBE_TRIALS):
         a = rng.normal(size=(PRODUCT_ROWS, fan_in))
         full = a @ w_t
@@ -85,15 +85,24 @@ def _probe_buckets(fan_in, fan_out):
     return sizes
 
 
-def bucket_table(fan_in, fan_out):
-    """Per live row count m <= PRODUCT_ROWS, the smallest verified bucket
-    >= m, or PRODUCT_ROWS where none is; probed once per shape in this
-    process."""
-    key = (fan_in, fan_out)
+def bucket_table(fan_in, fan_out, batch):
+    """Per live row count m <= PRODUCT_ROWS, the smallest verified row
+    count >= m, or PRODUCT_ROWS where none is.
+
+    The sizes probed are the powers of two below PRODUCT_ROWS and, where it
+    is below PRODUCT_ROWS and not a power of two, ``batch`` itself; each
+    table is probed once per shape in this process.
+    """
+    sizes = [1 << i for i in range((PRODUCT_ROWS - 1).bit_length())]
+    if batch < PRODUCT_ROWS and batch not in sizes:
+        sizes.append(batch)
+    else:
+        batch = PRODUCT_ROWS
+    key = (fan_in, fan_out, batch)
     table = _BUCKETS.get(key)
     if table is None:
         table = [PRODUCT_ROWS] * (PRODUCT_ROWS + 1)
-        for b in sorted(_probe_buckets(fan_in, fan_out), reverse=True):
+        for b in sorted(_probe_buckets(fan_in, fan_out, sizes), reverse=True):
             table[: b + 1] = [b] * (b + 1)
         _BUCKETS[key] = table
     return table
@@ -106,20 +115,7 @@ def rows_movable(arch: Architecture):
     if arch.neuron_mode is NeuronMode.PLAIN_TANH:
         return True
     shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
-    return all(bucket_table(*shape)[1] < PRODUCT_ROWS for shape in shapes)
-
-
-def prefix_verified(fan_in, fan_out, m):
-    """Whether an m-row product gives the first m rows of a
-    PRODUCT_ROWS-row product bitwise, in each of PROBE_TRIALS fixed-seed
-    random trials; probed once per shape and m in this process."""
-    key = (fan_in, fan_out, m)
-    if key not in _PREFIXES:
-        rng = np.random.default_rng(PROBE_SEED)
-        w_t = rng.normal(size=(fan_out, fan_in)).T
-        trials = (rng.normal(size=(PRODUCT_ROWS, fan_in)) for _ in range(PROBE_TRIALS))
-        _PREFIXES[key] = all(np.array_equal(a[:m] @ w_t, (a @ w_t)[:m]) for a in trials)
-    return _PREFIXES[key]
+    return all(bucket_table(*shape, PRODUCT_ROWS)[1] < PRODUCT_ROWS for shape in shapes)
 
 
 class BatchedPolicy:
@@ -130,9 +126,11 @@ class BatchedPolicy:
     serves one batch of episodes: it starts with all B rows live and every
     neuron state zero, and ``keep`` drops rows whose episode has ended, so
     ``forward`` only ever computes running episodes.
-    ``rows`` holds the batch index of each live row. A row's outputs depend
-    on its own genome and inputs alone, and on its index modulo
-    PRODUCT_ROWS only where :func:`rows_movable` fails.
+    ``rows`` holds the batch index of each live row. Every weight product
+    follows one rule (see :meth:`_weight_product`), with the table that
+    :func:`bucket_table` probes for B. A row's outputs depend on its own
+    genome and inputs alone, and on its index modulo PRODUCT_ROWS only
+    where :func:`rows_movable` fails.
     """
 
     def __init__(self, arch: Architecture, genomes):
@@ -157,7 +155,9 @@ class BatchedPolicy:
 
     def keep(self, order):
         """Keep the live rows ``order`` (integer indices into the live rows),
-        row ``order[j]`` moving to place j; only rows that move are copied."""
+        row ``order[j]`` moving to place j; only rows that move are copied,
+        and of their planes only the recurrent states, since ``forward``
+        writes every output plane before it reads it."""
         if not np.issubdtype(np.asarray(order).dtype, np.integer):
             raise DomainError(f"keep: order must hold integer indices, got {order!r}")
         self.rows = self.rows[order]
@@ -171,47 +171,44 @@ class BatchedPolicy:
             p[..., moved, :] = p[..., src, :]
             self.params[k] = p[..., :n, :]
         for plane in self.planes:
-            plane[:, moved] = plane[:, src]
+            plane[1:, moved] = plane[1:, src]
 
     def _weight_product(self, k, x):
         """x @ W_k.T for the live rows, each row bitwise as in a
         PRODUCT_ROWS-row product, written into scratch row 0.
 
-        An all-live batch of more than PRODUCT_ROWS // 2 rows runs in place,
-        padded to PRODUCT_ROWS rows unless :func:`prefix_verified` holds.
-        Where buckets exist, any other live set runs as direct
-        PRODUCT_ROWS-row slices, and the remainder in pieces of at most the
-        largest bucket, each run at the smallest bucket that holds it. Where
-        no bucket verifies, each PRODUCT_ROWS-row block of the batch runs at
-        PRODUCT_ROWS rows with its live rows at their own places.
+        The live rows run as direct PRODUCT_ROWS-row slices, and the r rows
+        left over run once, at the smallest verified row count that holds
+        them (see :func:`bucket_table`): in place where that count is r,
+        else padded in ``_product_in``. An all-live batch of whole slices
+        needs no table. Where no row count verifies, each PRODUCT_ROWS-row
+        block of the batch runs at PRODUCT_ROWS rows with its live rows at
+        their own places.
         """
         w_t = self.weights[k].T
         m = x.shape[0]
         out = self._scratch[0, : m * w_t.shape[1]].reshape(m, -1)
         buf = self._product_in[k]
-        if m == self.batch <= PRODUCT_ROWS < 2 * m:
-            if m == PRODUCT_ROWS or prefix_verified(*w_t.shape, m):
-                return np.matmul(x, w_t, out=out)
-            buf[:m] = x
-            out[:] = (buf @ w_t)[:m]
-            return out
-        table = bucket_table(*w_t.shape)
-        top = table.index(PRODUCT_ROWS) - 1  # the largest bucket, or -1
-        if top > 0:
-            whole = m - m % PRODUCT_ROWS
-            for i in range(0, whole, PRODUCT_ROWS):
-                np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])
-            for i in range(whole, m, top):
-                p = min(top, m - i)
-                buf[:p] = x[i : i + p]
-                out[i : i + p] = (buf[: table[p]] @ w_t)[:p]
-        else:
-            block_of = self.rows // PRODUCT_ROWS
-            for c in np.unique(block_of):
-                sel = block_of == c
-                local = self.rows[sel] - c * PRODUCT_ROWS
-                buf[local] = x[sel]
-                out[sel] = (buf @ w_t)[local]
+        whole = m - m % PRODUCT_ROWS
+        if whole < m or m < self.batch:
+            table = bucket_table(*w_t.shape, self.batch)
+            if table[1] == PRODUCT_ROWS:
+                block_of = self.rows // PRODUCT_ROWS
+                for c in np.unique(block_of):
+                    sel = block_of == c
+                    local = self.rows[sel] - c * PRODUCT_ROWS
+                    buf[local] = x[sel]
+                    out[sel] = (buf @ w_t)[local]
+                return out
+        for i in range(0, whole, PRODUCT_ROWS):
+            np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])
+        if whole < m:
+            r, b = m - whole, table[m - whole]
+            if b == r:
+                np.matmul(x[whole:], w_t, out=out[whole:])
+            else:
+                buf[:r] = x[whole:]
+                out[whole:] = (buf[:b] @ w_t)[:r]
         return out
 
     def forward(self, obs):

@@ -284,7 +284,6 @@ class PipelineRunner:
         self.best_fitness = -np.inf
         self.champion = x0.copy()
         self.champion_eval_mean = -np.inf
-        self.champion_eval_std = float("nan")
 
     @property
     def finished(self) -> bool:
@@ -332,7 +331,6 @@ class PipelineRunner:
             rec.periodic_eval_std = float(std)
             if mean > self.champion_eval_mean:
                 self.champion_eval_mean = float(mean)
-                self.champion_eval_std = float(std)
                 self.champion = np.array(gen_best)
         rec.wallclock = time.perf_counter() - t0
         self.history.append(rec)
@@ -342,8 +340,8 @@ class PipelineRunner:
 
     def run(self, eval_population, periodic_eval=None, on_generation=None):
         """Step to the end of the schedule; returns the runner, whose
-        ``champion``, ``champion_eval_mean``/``_std`` and ``history`` hold
-        the outcome."""
+        ``champion``, ``champion_eval_mean`` and ``history`` hold the
+        outcome."""
         while not self.finished:
             rec = self.step(eval_population, periodic_eval)
             if on_generation is not None:

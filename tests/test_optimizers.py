@@ -3,10 +3,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from evounits.architecture import Architecture
+from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError, DomainError
-from evounits.harness import PopulationEvaluator
+from evounits.harness import PopulationEvaluator, evaluate, probe_layer
 from evounits.neural_unit import NeuronMode
 from evounits.optimizers import (
     CmaEs,
@@ -22,8 +22,10 @@ def sphere(x):
     return -np.sum(np.square(x), axis=-1)
 
 
-_evaluator = partial(PopulationEvaluator, Architecture((5, 4, 1), NeuronMode.RECURRENT),
-                     SwingUpParams())
+_ARCH = Architecture((5, 4, 1), NeuronMode.RECURRENT)
+_GENOME = np.zeros(count_parameters(_ARCH))
+_evaluator = partial(PopulationEvaluator, _ARCH, SwingUpParams())
+_evaluate = partial(evaluate, _GENOME, _ARCH, SwingUpParams(max_steps=10))
 NON_INTEGER_ARGS = [
     (partial(GeneticAlgorithm, np.zeros(3)), "popsize", 8.7),
     (partial(GeneticAlgorithm, np.zeros(3)), "popsize", True),
@@ -32,6 +34,10 @@ NON_INTEGER_ARGS = [
     (_evaluator, "episodes_per_candidate", 2.5),
     (_evaluator, "train_seed_base", 1.9),
     (_evaluator, "workers", 1.5),
+    (partial(_evaluate, base_seed=1), "n_episodes", 2.0),
+    (partial(_evaluate, 2), "base_seed", 1.5),
+    (partial(probe_layer, _GENOME, _ARCH), "layer", 1.0),
+    (partial(probe_layer, _GENOME, _ARCH, layer=1), "n_points", 10.5),
 ]
 
 

@@ -137,11 +137,14 @@ def test_episode_score_is_independent_of_its_batch():
     # 930.6186 and 930.4742 in a 1-, 3- and 100-episode eval, because each
     # batch size rounded the weight products differently. It must score the
     # same at any row of any batch: row 0 of 1, 3 and 100 episodes, row 2 of
-    # 3 and row 17 of 100.
+    # 3, row 17 of 40, 65, 100 and 127, and row 10 of 64. Each batch's own
+    # row count runs in place or padded, as its probe decides.
     arch, genome, _ = load_champion(CHAMPION)
     env = SwingUpParams()
+    runs = ((1, 17), (3, 17), (100, 17), (3, 15), (100, 0),
+            (40, 0), (64, 7), (65, 0), (127, 0))
     scores = {(n, base): evaluate(genome, arch, env, n, base).scores[17 - base]
-              for n, base in ((1, 17), (3, 17), (100, 17), (3, 15), (100, 0))}
+              for n, base in runs}
     total = 0.0
     for row in episode_trajectory(genome, arch, env, 17):
         total += row[-1]
