@@ -25,7 +25,7 @@ from .neural_unit import (
     layer_step_simple,
     parameter_major,
 )
-from .network import PRODUCT_ROWS, BatchedPolicy, rows_movable
+from .network import PRODUCT_ROWS, BatchedPolicy, bucket_tables, rows_movable
 from .schema import integer
 
 # Evaluation episode seeds live far away from training seeds (which count up
@@ -114,7 +114,6 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     """
     check_arch(arch)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-    # Probed here, the bucket tables pass to forked workers.
     step = PRODUCT_ROWS if workers > 1 and not rows_movable(arch) else 1
     units = -(-genomes.shape[0] // step)
     parts = min(workers, units)
@@ -122,6 +121,9 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
         return _mean_scores(arch, env_params, episode_seeds, genomes)
     bounds = step * np.linspace(0, units, parts + 1).astype(int)
     splits = [genomes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # Probed here, each split's bucket tables pass to the forked workers.
+    for split in splits:
+        bucket_tables(arch, len(split))
     rollout = partial(_mean_scores, arch, env_params, episode_seeds)
     with ProcessPoolExecutor(max_workers=parts) as pool:
         return np.concatenate(list(pool.map(rollout, splits)))
@@ -204,6 +206,8 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
         raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
     layer = integer("layer", layer)
     n_points = integer("n_points", n_points)
+    if n_points < 1:
+        raise ConfigError(f"n_points: must be at least 1, got {n_points}")
     if not (0 <= layer < arch.n_layers):
         raise ConfigError(
             f"layer: index {layer} out of range for {arch.n_layers} layers"

@@ -108,14 +108,20 @@ def bucket_table(fan_in, fan_out, batch):
     return table
 
 
+def bucket_tables(arch: Architecture, batch):
+    """The :func:`bucket_table` of each weight product of ``arch`` for a
+    batch of ``batch`` rows; none for the plain-tanh baseline."""
+    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
+        return []
+    shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
+    return [bucket_table(*shape, batch) for shape in shapes]
+
+
 def rows_movable(arch: Architecture):
     """Whether every weight product of ``arch`` has a verified bucket, so a
     product row keeps its bits at any place in any batch (see
     :func:`_probe_buckets`). Without products, rows never meet."""
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        return True
-    shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
-    return all(bucket_table(*shape, PRODUCT_ROWS)[1] < PRODUCT_ROWS for shape in shapes)
+    return all(table[1] < PRODUCT_ROWS for table in bucket_tables(arch, PRODUCT_ROWS))
 
 
 class BatchedPolicy:
@@ -143,6 +149,8 @@ class BatchedPolicy:
             self.layers = decode(genomes, arch)
             return
         self.weights = sample_weights(arch)
+        # Each product's bucket_table for this batch, the first time it is needed.
+        self._tables = [None] * len(self.weights)
         # Live-row inputs of each weight product (see _weight_product).
         self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
         self.params = [parameter_major(p, self.mode) for p in decode(genomes, arch)]
@@ -191,7 +199,9 @@ class BatchedPolicy:
         buf = self._product_in[k]
         whole = m - m % PRODUCT_ROWS
         if whole < m or m < self.batch:
-            table = bucket_table(*w_t.shape, self.batch)
+            table = self._tables[k]
+            if table is None:
+                table = self._tables[k] = bucket_table(*w_t.shape, self.batch)
             if table[1] == PRODUCT_ROWS:
                 block_of = self.rows // PRODUCT_ROWS
                 for c in np.unique(block_of):

@@ -66,7 +66,8 @@ class CmaEs:
 
     Rank-based selection over the best half of the population, rank-one and
     rank-mu covariance updates, cumulative step-size adaptation. No fitness
-    shaping beyond ranking (no weight decay penalty).
+    shaping beyond ranking (no weight decay penalty). ``tell`` updates
+    ``cov`` in place.
     """
 
     def __init__(self, x0, sigma0=0.5, popsize=None, seed=None):
@@ -135,7 +136,8 @@ class CmaEs:
         y_w = self.weights @ y_sel
         self.mean = self.mean + self.sigma * y_w
 
-        inv_sqrt = (basis / scale) @ basis.T
+        work = basis / scale
+        inv_sqrt = work @ basis.T
         self.p_sigma = (1 - self.cs) * self.p_sigma + math.sqrt(
             self.cs * (2 - self.cs) * self.mueff
         ) * (inv_sqrt @ y_w)
@@ -147,14 +149,21 @@ class CmaEs:
             self.cc * (2 - self.cc) * self.mueff
         ) * y_w
 
-        rank_mu = (y_sel.T * self.weights) @ y_sel
+        # C = (1 - c1 - cmu) C + c1 (p_c p_c' + delta_h C) + cmu rank_mu, then
+        # (C + C') / 2, in place but in that order, so every bit is kept;
+        # inv_sqrt and basis are read no more and hold rank_mu and p_c p_c'.
+        rank_mu = np.matmul(y_sel.T * self.weights, y_sel, out=inv_sqrt)
+        outer = np.multiply(self.p_c[:, None], self.p_c[None, :], out=basis)
         delta_h = (1 - h_sigma) * self.cc * (2 - self.cc)
-        self.cov = (
-            (1 - self.c1 - self.cmu) * self.cov
-            + self.c1 * (np.outer(self.p_c, self.p_c) + delta_h * self.cov)
-            + self.cmu * rank_mu
-        )
-        self.cov = (self.cov + self.cov.T) / 2.0
+        np.multiply(delta_h, self.cov, out=work)
+        np.add(outer, work, out=work)
+        work *= self.c1
+        self.cov *= 1 - self.c1 - self.cmu
+        self.cov += work
+        rank_mu *= self.cmu
+        self.cov += rank_mu
+        np.add(self.cov, self.cov.T, out=work)
+        np.divide(work, 2.0, out=self.cov)
         self.sigma *= math.exp((self.cs / self.damps) * (norm_ps / self.chi_n - 1))
         self.generation += 1
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,27 @@ class TestPopulationEvaluator:
         serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
         pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
         assert np.array_equal(pooled, serial)
+
+    def test_pool_workers_inherit_every_table(self, monkeypatch, tmp_path):
+        # Splits of 50 rows key tables of their own; the parent probes them
+        # before it forks, so no worker probes, on the first call or later.
+        monkeypatch.setattr(network, "_BUCKETS", {})
+        monkeypatch.setattr(harness, "rows_movable", lambda arch: True)
+        probe, log = network._probe_buckets, tmp_path / "probes"
+
+        def logged_probe(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return probe(*args)
+
+        monkeypatch.setattr(network, "_probe_buckets", logged_probe)
+        a = rec_arch()
+        env = SwingUpParams(max_steps=50)
+        genomes = np.random.default_rng(10).normal(0, 1, (100, count_parameters(a)))
+        for _ in range(2):
+            evaluate_population(a, env, genomes, [3], workers=2)
+        assert log.read_text().split() == [str(os.getpid())] * 3
+        assert sorted(network._BUCKETS) == [(4, 1, 50), (5, 8, 50), (8, 4, 50)]
 
     @pytest.mark.parametrize("movable", [True, False])
     def test_workers_split_evenly_or_at_blocks(self, monkeypatch, movable):
@@ -292,6 +315,12 @@ class TestCompareOrderings:
         a = rec_arch()
         with pytest.raises(ConfigError, match="layer"):
             probe_layer(initial_genome(a), a, 4)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_n_points_below_one_rejected(self, n_points):
+        a = rec_arch()
+        with pytest.raises(ConfigError, match="^n_points: must be at least 1"):
+            probe_layer(initial_genome(a), a, 1, n_points)
 
 
 class TestWriters:

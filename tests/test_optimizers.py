@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -20,6 +22,44 @@ from evounits.optimizers import (
 
 def sphere(x):
     return -np.sum(np.square(x), axis=-1)
+
+
+def reference_tell(es, fitnesses):
+    """``CmaEs.tell`` as the textbook expression, each n×n term a fresh
+    array; returns h_sigma."""
+    f = np.asarray(fitnesses, dtype=np.float64)
+    y, basis, scale = es._pending
+    es._pending = None
+    n = es.dim
+
+    order = np.argsort(-f, kind="stable")
+    y_sel = y[order[: es.mu]]
+    y_w = es.weights @ y_sel
+    es.mean = es.mean + es.sigma * y_w
+
+    inv_sqrt = (basis / scale) @ basis.T
+    es.p_sigma = (1 - es.cs) * es.p_sigma + math.sqrt(
+        es.cs * (2 - es.cs) * es.mueff
+    ) * (inv_sqrt @ y_w)
+    norm_ps = np.linalg.norm(es.p_sigma)
+    h_sigma = norm_ps / math.sqrt(
+        1 - (1 - es.cs) ** (2 * (es.generation + 1))
+    ) / es.chi_n < 1.4 + 2 / (n + 1)
+    es.p_c = (1 - es.cc) * es.p_c + h_sigma * math.sqrt(
+        es.cc * (2 - es.cc) * es.mueff
+    ) * y_w
+
+    rank_mu = (y_sel.T * es.weights) @ y_sel
+    delta_h = (1 - h_sigma) * es.cc * (2 - es.cc)
+    es.cov = (
+        (1 - es.c1 - es.cmu) * es.cov
+        + es.c1 * (np.outer(es.p_c, es.p_c) + delta_h * es.cov)
+        + es.cmu * rank_mu
+    )
+    es.cov = (es.cov + es.cov.T) / 2.0
+    es.sigma *= math.exp((es.cs / es.damps) * (norm_ps / es.chi_n - 1))
+    es.generation += 1
+    return h_sigma
 
 
 _ARCH = Architecture((5, 4, 1), NeuronMode.RECURRENT)
@@ -192,6 +232,37 @@ class TestCmaEs:
         es = CmaEs(np.zeros(300), popsize=16, seed=0)
         es.tell(sphere(es.ask()))
         assert len(pickle.dumps(es)) < 1.1 * es.cov.nbytes
+
+    def test_tell_bitwise_as_reference_expression(self):
+        # The linear fitness drives |p_sigma| up until h_sigma turns False,
+        # so both branches of the rank-one update are covered.
+        es = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
+        ref = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
+        stalled = []
+        for _ in range(25):
+            x = es.ask()
+            assert np.array_equal(x, ref.ask())
+            es.tell(x[:, 0])
+            stalled.append(not reference_tell(ref, x[:, 0]))
+            for name in ("cov", "mean", "p_sigma", "p_c"):
+                assert np.array_equal(getattr(es, name), getattr(ref, name)), name
+            assert es.sigma == ref.sigma
+            assert np.array_equal(es.cov, es.cov.T)
+        assert any(stalled) and not all(stalled)
+
+    def test_tell_holds_at_most_two_square_temporaries(self):
+        # The textbook expression holds about five n×n arrays at once.
+        n = 400
+        es = CmaEs(np.zeros(n), sigma0=0.5, seed=0)
+        f = sphere(es.ask())
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            es.tell(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 2.5 * n * n * 8
 
     def test_pickle_round_trip_mid_run(self):
         # A small population next to n: the lazy eigendecomposition cadence of

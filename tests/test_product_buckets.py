@@ -133,11 +133,17 @@ def test_all_live_rollout_never_probes(fresh_buckets):
     assert network._BUCKETS == {}
 
 
-def test_batch_of_65_probes_one_table_per_shape(fresh_buckets):
+def test_batch_of_65_probes_one_table_per_shape(fresh_buckets, monkeypatch):
     # Any other batch probes its table once per weight shape, keyed with
-    # its own row count where that count is a size of its own.
+    # its own row count where that count is a size of its own, and its
+    # policy looks each table up once.
+    lookups = []
+    table = network.bucket_table
+    monkeypatch.setattr(network, "bucket_table",
+                        lambda *key: lookups.append(key) or table(*key))
     arch, genome, _ = network.load_champion(CHAMPION)
     env = SwingUpParams(max_steps=100)
     want, _ = oracle.evaluation_scores(genome, arch, env, 65, 5)
     assert evaluate(genome, arch, env, 65, 5).scores == want
     assert sorted(network._BUCKETS) == [(5, 128, 65), (64, 1, 65), (128, 64, 65)]
+    assert sorted(lookups) == sorted(network._BUCKETS)
