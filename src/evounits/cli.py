@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (PRESETS, ExperimentConfig, from_dict, from_preset, load_config,
-                     save_config, to_dict)
+from .config import (PRESETS, ExperimentConfig, _section, from_dict, from_preset,
+                     load_config, save_config, to_dict)
 from .errors import CheckpointError, ConfigError, EvaluationError, EvoUnitsError
 from .genome import initial_genome
 from .architecture import count_parameters
@@ -158,6 +158,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
             "std": final_report.std,
             "n_episodes": final_report.n_episodes,
             "periodic_eval_mean": runner.champion_eval_mean,
+            "env": to_dict(cfg)["env"],
         },
     )
     write_eval_json(out_dir / "eval.json", final_report)
@@ -211,8 +212,14 @@ def cmd_resume(args):
 
 
 def cmd_eval(args):
-    arch, genome, _ = load_champion(args.champion)
-    env_params = load_config(args.config).env_params() if args.config else SwingUpParams()
+    arch, genome, eval_info = load_champion(args.champion)
+    if args.config:
+        env_params = load_config(args.config).env_params()
+    else:  # the env the champion was trained on; defaults where it records none
+        try:
+            env_params = _section(eval_info or {}, "env", SwingUpParams)
+        except ConfigError as exc:
+            raise CheckpointError(f"malformed checkpoint {args.champion}: eval.{exc}") from exc
     report = evaluate(
         genome, arch, env_params, args.episodes, args.seed,
         genome_id=Path(args.champion).stem,
@@ -288,8 +295,8 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="score a champion checkpoint")
     p_eval.add_argument("--champion", required=True)
     p_eval.add_argument("--episodes", type=int, default=100)
-    p_eval.add_argument("--seed", type=int, default=EVAL_SEED_OFFSET)
-    p_eval.add_argument("--config", help="env overrides from a config file")
+    p_eval.add_argument("--seed", type=int, default=EVAL_SEED_OFFSET + FINAL_EVAL_SEED_SUBOFFSET)
+    p_eval.add_argument("--config", help="env from a config file, not the champion's")
     p_eval.add_argument("--out", default=None, help="eval report JSON path")
     p_eval.add_argument("--dump-trajectory", default=None,
                         help="write the trajectory CSV of episode --seed here")

@@ -18,14 +18,8 @@ import numpy as np
 from .architecture import Architecture
 from .cartpole import BatchedSwingUp, SwingUpParams, check_arch
 from .errors import ConfigError
-from .genome import decode
-from .neural_unit import (
-    NeuronMode,
-    layer_step_recurrent,
-    layer_step_simple,
-    parameter_major,
-)
-from .network import PRODUCT_ROWS, BatchedPolicy, bucket_tables, rows_movable
+from .neural_unit import NeuronMode
+from .network import BatchedPolicy, worker_splits
 from .schema import integer
 
 # Evaluation episode seeds live far away from training seeds (which count up
@@ -107,25 +101,18 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     """Fitness for every candidate: mean total reward over the given seeds.
 
     One worker steps the whole population together. A pool gives each
-    worker a contiguous split of the rows: an even one where
-    :func:`~evounits.network.rows_movable` holds, else one of whole
-    PRODUCT_ROWS-row blocks, so that each row keeps its place in its block
-    and its fitness stays bitwise independent of the worker count.
+    worker a contiguous split of the rows, chosen so that each fitness stays
+    bitwise independent of the worker count (see
+    :func:`~evounits.network.worker_splits`).
     """
     check_arch(arch)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
-    step = PRODUCT_ROWS if workers > 1 and not rows_movable(arch) else 1
-    units = -(-genomes.shape[0] // step)
-    parts = min(workers, units)
-    if parts <= 1:
+    bounds = worker_splits(arch, genomes.shape[0], workers)
+    if len(bounds) == 2:
         return _mean_scores(arch, env_params, episode_seeds, genomes)
-    bounds = step * np.linspace(0, units, parts + 1).astype(int)
     splits = [genomes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    # Probed here, each split's bucket tables pass to the forked workers.
-    for split in splits:
-        bucket_tables(arch, len(split))
     rollout = partial(_mean_scores, arch, env_params, episode_seeds)
-    with ProcessPoolExecutor(max_workers=parts) as pool:
+    with ProcessPoolExecutor(max_workers=len(splits)) as pool:
         return np.concatenate(list(pool.map(rollout, splits)))
 
 
@@ -142,6 +129,8 @@ class PopulationEvaluator:
         if self.episodes < 1:
             raise ConfigError("episodes_per_candidate: must be at least 1")
         self.train_seed_base = integer("train_seed_base", train_seed_base)
+        if self.train_seed_base < 0:
+            raise ConfigError(f"train_seed_base: must be non-negative, got {train_seed_base}")
         self.workers = integer("workers", workers)
 
     def seeds_for_generation(self, generation):
@@ -182,9 +171,9 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
 
 def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams, seed):
     """Per-step (t, x, x_dot, theta, theta_dot, action, reward) of episode
-    ``seed``, a batch of one. Where :func:`~evounits.network.rows_movable`
-    holds, the rewards sum bitwise to that episode's score in any
-    :func:`evaluate` that runs it."""
+    ``seed``, a batch of one. Where every weight product has a verified
+    bucket (see :func:`~evounits.network.worker_splits`), the rewards sum
+    bitwise to that episode's score in any :func:`evaluate` that runs it."""
     check_arch(arch)
     trajectory = []
     _scores(arch, env_params, genome, [seed], trajectory)
@@ -195,9 +184,10 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
                 hi=3.0) -> LayerProbe:
     """Sweep an input through every unit of one layer of a unit-mode network.
 
-    Inputs go directly into the units (bypassing the random weights), from
-    lo up to hi and, as a second batch row, from hi down to lo; neuron
-    states are zeroed first. Stateless units diverge by exactly zero;
+    Inputs go directly into the units (bypassing the random weights)
+    through the policy's own layer step, :meth:`BatchedPolicy.step_layer`
+    of a two-row batch: row 0 sweeps from lo up to hi and row 1 from hi
+    down to lo, from zero states. Stateless units diverge by exactly zero;
     state-coupled units generally do not, which is the history-dependence
     signature.
     """
@@ -212,21 +202,15 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
         raise ConfigError(
             f"layer: index {layer} out of range for {arch.n_layers} layers"
         )
-    params = parameter_major(decode(genome, arch)[layer][None], mode)
-    n = params.shape[-1]
+    net = BatchedPolicy(arch, [genome, genome])
     inputs = np.linspace(lo, hi, n_points)
     sweeps = np.stack([inputs, inputs[::-1]], axis=1)[:, :, None]  # (t, row, 1)
-    recurrent = mode is NeuronMode.RECURRENT
-    step = layer_step_recurrent if recurrent else layer_step_simple
-    out, tmp = np.zeros((2 if recurrent else 1, 2, n)), np.empty((2, n))
-    traces = np.empty((n_points, *out.shape))  # per step: out, then state if any
-    for t, x in enumerate(sweeps):
-        step(params, x, out, tmp)
-        traces[t] = out
+    # (t, plane, row, unit): plane 0 holds outputs, plane 1 recurrent states.
+    traces = np.stack([net.step_layer(layer, x).copy() for x in sweeps])
     # Align by input value: reverse the downward sweep.
     divergence = np.abs(traces[:, 0, 0] - traces[::-1, 0, 1]).max(axis=0)
-    return LayerProbe(inputs, traces[:, 0, 0], traces[:, 1, 0] if recurrent else None,
-                      divergence)
+    states = traces[:, 1, 0] if mode is NeuronMode.RECURRENT else None
+    return LayerProbe(inputs, traces[:, 0, 0], states, divergence)
 
 
 def write_eval_json(path, report: EvalReport):

@@ -12,12 +12,7 @@ import numpy as np
 from .architecture import Architecture, count_parameters
 from .errors import CheckpointError, ConfigError, DomainError
 from .genome import decode
-from .neural_unit import (
-    NeuronMode,
-    layer_step_recurrent,
-    layer_step_simple,
-    parameter_major,
-)
+from .neural_unit import NeuronMode, layer_step_recurrent, layer_step_simple
 from .schema import to_plain
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -108,20 +103,31 @@ def bucket_table(fan_in, fan_out, batch):
     return table
 
 
-def bucket_tables(arch: Architecture, batch):
-    """The :func:`bucket_table` of each weight product of ``arch`` for a
-    batch of ``batch`` rows; none for the plain-tanh baseline."""
+def worker_splits(arch: Architecture, rows, workers):
+    """Bounds of up to ``workers`` contiguous splits of ``rows`` rows, each
+    split's bucket tables built here for the pool workers to inherit.
+
+    The splits are even where every product has a verified bucket (see
+    :func:`_probe_buckets`), else at whole PRODUCT_ROWS-row blocks, so that a
+    row's outputs are bitwise independent of the split. One worker takes
+    the whole batch, and nothing is probed.
+    """
+    if workers <= 1:
+        return [0, rows]
+    shapes = list(zip(arch.layer_sizes, arch.layer_sizes[1:]))
     if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        return []
-    shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
-    return [bucket_table(*shape, batch) for shape in shapes]
-
-
-def rows_movable(arch: Architecture):
-    """Whether every weight product of ``arch`` has a verified bucket, so a
-    product row keeps its bits at any place in any batch (see
-    :func:`_probe_buckets`). Without products, rows never meet."""
-    return all(table[1] < PRODUCT_ROWS for table in bucket_tables(arch, PRODUCT_ROWS))
+        shapes = []  # no frozen-weight products
+    movable = all(bucket_table(*shape, PRODUCT_ROWS)[1] < PRODUCT_ROWS for shape in shapes)
+    step = 1 if movable else PRODUCT_ROWS
+    units = -(-rows // step)
+    parts = min(workers, units)
+    if parts <= 1:
+        return [0, rows]
+    bounds = np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        for shape in shapes:
+            bucket_table(*shape, hi - lo)
+    return bounds
 
 
 class BatchedPolicy:
@@ -136,7 +142,7 @@ class BatchedPolicy:
     follows one rule (see :meth:`_weight_product`), with the table that
     :func:`bucket_table` probes for B. A row's outputs depend on its own
     genome and inputs alone, and on its index modulo PRODUCT_ROWS only
-    where :func:`rows_movable` fails.
+    where some product has no verified bucket (see :func:`worker_splits`).
     """
 
     def __init__(self, arch: Architecture, genomes):
@@ -153,11 +159,14 @@ class BatchedPolicy:
         self._tables = [None] * len(self.weights)
         # Live-row inputs of each weight product (see _weight_product).
         self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
-        self.params = [parameter_major(p, self.mode) for p in decode(genomes, arch)]
+        # Each unit coefficient as one contiguous plane, as the layer steps
+        # expect: (B, n, 2, 3) to (2, 3, B, n), or (B, n, 2) to (2, B, n).
+        k = 2 if self.mode is NeuronMode.RECURRENT else 1
+        self.params = [np.array(np.moveaxis(p, range(2, 2 + k), range(k)), order="C")
+                       for p in decode(genomes, arch)]
         # Per layer, plane 0 holds the unit outputs of the live rows [:m]
         # and, for recurrent units, plane 1 their states. Products and unit
         # steps share _scratch.
-        k = 2 if self.mode is NeuronMode.RECURRENT else 1
         self.planes = [np.zeros((k, self.batch, n)) for n in arch.layer_sizes]
         self._scratch = np.empty((2, self.batch * max(arch.layer_sizes)))
 
@@ -228,14 +237,20 @@ class BatchedPolicy:
             for w, b in self.layers:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
-        m = x.shape[0]
-        step = layer_step_recurrent if self.mode is NeuronMode.RECURRENT else layer_step_simple
-        for k, n in enumerate(self.arch.layer_sizes):
-            pre = x if k == 0 else self._weight_product(k - 1, x)
-            out = self.planes[k][:, :m]
-            step(self.params[k], pre, out, self._scratch[1, : m * n].reshape(m, n))
-            x = out[0]
+        for k in range(len(self.arch.layer_sizes)):
+            x = self.step_layer(k, x if k == 0 else self._weight_product(k - 1, x))[0]
         return x.copy()
+
+    def step_layer(self, k, pre):
+        """Step the units of layer k on the inputs ``pre`` of the first m
+        rows, (m, n) or (m, 1) to give each unit the same input; returns
+        the layer's planes of those rows, [outputs] or, for recurrent
+        units, [outputs, states]."""
+        m, n = pre.shape[0], self.arch.layer_sizes[k]
+        out = self.planes[k][:, :m]
+        step = layer_step_recurrent if self.mode is NeuronMode.RECURRENT else layer_step_simple
+        step(self.params[k], pre, out, self._scratch[1, : m * n].reshape(m, n))
+        return out
 
 
 def _arch_from_dict(d: dict) -> Architecture:
@@ -284,6 +299,9 @@ def load_champion(path):
         arch = _arch_from_dict(payload["arch"])
         genome = np.asarray(payload["genome"], dtype=np.float64)
         recorded = payload["weight_checksum"]
+        eval_info = payload.get("eval")
+        if not isinstance(eval_info, (dict, type(None))):
+            raise TypeError(f"eval: must be a mapping, got {eval_info!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     except ConfigError as exc:  # from Architecture, which names the field
@@ -302,4 +320,4 @@ def load_champion(path):
                 "weight checksum mismatch: weights were mutated or the "
                 "generator changed since this checkpoint was written"
             )
-    return arch, genome, payload.get("eval")
+    return arch, genome, eval_info

@@ -25,23 +25,11 @@ PARAMS_PER_NEURON = {
 }
 
 
-def parameter_major(values, mode: NeuronMode):
-    """Unit parameters with each coefficient as one contiguous plane.
-
-    Moves the per-unit coefficient axes to the front: (..., n, 2, 3) becomes
-    (2, 3, ..., n) for recurrent units and (..., n, 2) becomes (2, ..., n)
-    for simple ones, the layout the layer steps below expect, as a new array.
-    """
-    k = 2 if mode is NeuronMode.RECURRENT else 1
-    nd = values.ndim
-    return np.array(np.moveaxis(values, range(nd - k, nd), range(k)), order="C")
-
-
 def layer_step_recurrent(values, x, out, tmp):
     """Vectorized recurrent step for a whole layer (or batch of layers),
     written into ``out`` without allocating.
 
-    values: (2, 3, ..., n), parameter-major (see :func:`parameter_major`);
+    values: (2, 3, ..., n), each coefficient as one contiguous plane;
     x and the scratch ``tmp``: (..., n); ``out``: (2, ..., n) holds
     [output, state] and receives [output, new state]. Each plane reads the
     state before it writes that plane.

@@ -14,6 +14,7 @@ from evounits.cartpole import SwingUpParams
 from evounits.cli import main
 from evounits.config import from_dict, load_config
 from evounits.genome import initial_genome
+from evounits.harness import evaluate
 from evounits.network import load_champion, save_champion
 from evounits.neural_unit import NeuronMode
 
@@ -254,6 +255,50 @@ class TestEval:
         assert code == 0
         data = json.loads(out.read_text())
         assert abs(data["mean"] - recorded["mean"]) <= recorded["std"]
+
+    def test_defaults_reproduce_the_runs_final_eval(self, tmp_path):
+        # Master seed 0's final eval runs the default eval seeds, on the env
+        # the champion records (max_steps 100 here, not the default 1000).
+        cfg = write_config(tmp_path / "cfg.yaml", **{"seeds.master_seed": 0})
+        run, out = tmp_path / "run", tmp_path / "r.json"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(run), "--quiet"]) == 0
+        assert json.loads((run / "champion.json").read_text())["eval"]["env"]["max_steps"] == 100
+        assert main(["eval", "--champion", str(run / "champion.json"), "--episodes", "3",
+                     "--out", str(out)]) == 0
+        recorded = json.loads((run / "eval.json").read_text())
+        assert json.loads(out.read_text())["scores"] == recorded["scores"]
+
+    def test_champion_without_env_runs_default_env(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--champion", str(REFERENCE_CHAMPION), "--episodes", "2",
+                     "--seed", "5", "--out", str(out)]) == 0
+        arch, genome, eval_info = load_champion(REFERENCE_CHAMPION)
+        assert "env" not in eval_info
+        expected = evaluate(genome, arch, SwingUpParams(), 2, 5)
+        assert json.loads(out.read_text())["scores"] == expected.scores
+
+    def test_config_env_replaces_recorded_env(self, trained_run, tmp_path):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path / "env.yaml", env={"max_steps": 30})
+        champion = trained_run / "champion.json"
+        assert main(["eval", "--champion", str(champion), "--episodes", "2",
+                     "--seed", "5", "--config", str(cfg), "--out", str(out)]) == 0
+        arch, genome, _ = load_champion(champion)
+        expected = evaluate(genome, arch, SwingUpParams(max_steps=30), 2, 5)
+        assert json.loads(out.read_text())["scores"] == expected.scores
+
+    @pytest.mark.parametrize("env, field", [({"max_steps": 0}, "eval.env.max_steps"),
+                                            ({"dt": "fast"}, "eval.env.dt"),
+                                            ({"mass": 1.0}, "eval.env: unknown fields")])
+    def test_bad_recorded_env_rejected(self, trained_run, tmp_path, capsys, env, field):
+        champ = json.loads((trained_run / "champion.json").read_text())
+        champ["eval"]["env"].update(env)
+        bad, out = tmp_path / "bad.json", tmp_path / "r.json"
+        bad.write_text(json.dumps(champ))
+        assert main(["eval", "--champion", str(bad), "--episodes", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert field in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -104,6 +104,10 @@ class TestPopulationEvaluator:
             solo = evaluate(g, a, ENV, 1, seed)
             assert fits[i] == solo.mean
 
+    def test_negative_train_seed_base_rejected(self):
+        with pytest.raises(ConfigError, match="^train_seed_base: must be non-negative"):
+            PopulationEvaluator(rec_arch(), ENV, train_seed_base=-3)
+
     def test_seeds_advance_with_generation(self):
         ev = PopulationEvaluator(rec_arch(), ENV, episodes_per_candidate=2,
                                  train_seed_base=10)
@@ -146,16 +150,17 @@ class TestPopulationEvaluator:
         assert np.array_equal(pooled, serial)
 
     def test_pool_workers_inherit_every_table(self, monkeypatch, tmp_path):
-        # Splits of 50 rows key tables of their own; the parent probes them
-        # before it forks, so no worker probes, on the first call or later.
+        # The parent probes the PRODUCT_ROWS-row tables to choose the split,
+        # here an even one, since every size verifies. Splits of 50 rows key
+        # tables of their own; the parent probes them too before it forks,
+        # so no worker probes, on the first call or later.
         monkeypatch.setattr(network, "_BUCKETS", {})
-        monkeypatch.setattr(harness, "rows_movable", lambda arch: True)
-        probe, log = network._probe_buckets, tmp_path / "probes"
+        log = tmp_path / "probes"
 
-        def logged_probe(*args):
+        def logged_probe(fan_in, fan_out, sizes):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return probe(*args)
+            return list(sizes)
 
         monkeypatch.setattr(network, "_probe_buckets", logged_probe)
         a = rec_arch()
@@ -163,8 +168,15 @@ class TestPopulationEvaluator:
         genomes = np.random.default_rng(10).normal(0, 1, (100, count_parameters(a)))
         for _ in range(2):
             evaluate_population(a, env, genomes, [3], workers=2)
-        assert log.read_text().split() == [str(os.getpid())] * 3
-        assert sorted(network._BUCKETS) == [(4, 1, 50), (5, 8, 50), (8, 4, 50)]
+        assert log.read_text().split() == [str(os.getpid())] * 6
+        assert sorted(network._BUCKETS) == [(4, 1, 50), (4, 1, 128), (5, 8, 50),
+                                            (5, 8, 128), (8, 4, 50), (8, 4, 128)]
+
+    def test_one_worker_probes_nothing_up_front(self, monkeypatch):
+        # The serial path builds its tables only when a product needs one.
+        monkeypatch.setattr(network, "_BUCKETS", {})
+        monkeypatch.setattr(network, "_probe_buckets", lambda *shape: pytest.fail("probed"))
+        assert network.worker_splits(rec_arch(), 300, 1) == [0, 300]
 
     @pytest.mark.parametrize("movable", [True, False])
     def test_workers_split_evenly_or_at_blocks(self, monkeypatch, movable):
@@ -186,7 +198,10 @@ class TestPopulationEvaluator:
                 return map(fn, splits)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness, "rows_movable", lambda arch: movable)
+        # Every size verifies, or none does and the split falls at blocks.
+        monkeypatch.setattr(network, "_BUCKETS", {})
+        monkeypatch.setattr(network, "_probe_buckets",
+                            lambda fan_in, fan_out, sizes: list(sizes) if movable else [])
         a = rec_arch()
         env = SwingUpParams(max_steps=20)
         for n, workers in ((300, 2), (300, 4), (100, 2)):
@@ -264,14 +279,15 @@ class TestProbes:
         np.testing.assert_allclose(probe.outputs[:, 0], expected, atol=1e-12)
         assert not probe.states.any()
 
+    @pytest.mark.parametrize("layer", range(4))
     @pytest.mark.parametrize("mode", [NeuronMode.RECURRENT, NeuronMode.SIMPLE])
-    def test_matches_scalar_oracle(self, mode):
+    def test_matches_scalar_oracle(self, mode, layer):
         # Each unit stepped alone through the scalar oracle, upward and then
         # downward from a zero state, gives the probe's bits.
         a = Architecture((5, 8, 4, 1), mode, weight_seed=1)
         g = np.random.default_rng(11).normal(0, 2, count_parameters(a))
-        probe = probe_layer(g, a, 2)
-        for i, values in enumerate(decode(g, a)[2]):
+        probe = probe_layer(g, a, layer)
+        for i, values in enumerate(decode(g, a)[layer]):
             unit = NeuronParams(mode, np.atleast_2d(values))
             up, up_states = scalar_sweep(unit, probe.inputs)
             down, _ = scalar_sweep(unit, probe.inputs[::-1])

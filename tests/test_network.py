@@ -334,6 +334,16 @@ class TestChampionCheckpoint:
         with pytest.raises(CheckpointError, match="genome"):
             load_champion(path)
 
+    def test_eval_not_a_mapping_rejected(self, tmp_path):
+        import json
+
+        payload = json.loads(REFERENCE_CHAMPION.read_text())
+        payload["eval"] = [930.6]
+        path = tmp_path / "champ.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="eval: must be a mapping"):
+            load_champion(path)
+
     def older_file(self, tmp_path, kinds):
         """A champion file in the older format, which lists one output
         nonlinearity per output."""
