@@ -5,17 +5,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
-import pickle
 import sys
+import zipfile
 from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .config import (PRESETS, ExperimentConfig, _section, from_dict, from_preset,
                      load_config, save_config, to_dict)
-from .errors import CheckpointError, ConfigError, EvaluationError, EvoUnitsError
+from .errors import CheckpointError, ConfigError, DomainError, EvaluationError, EvoUnitsError
 from .genome import initial_genome
 from .architecture import count_parameters
 from .cartpole import SwingUpParams
@@ -28,10 +28,14 @@ from .harness import (
     write_eval_json,
     write_trace_csv,
 )
-from .network import load_champion, save_champion
+from .network import load_champion, save_champion, write_atomically
 from .optimizers import GenerationRecord, PipelineRunner
 
-RUNNER_SCHEMA_VERSION = 3
+RUNNER_SCHEMA_VERSION = 4
+RUNNER_ARRAYS = ("best", "champion")
+RUNNER_FIELDS = ("stage", "generation", "best_fitness", "champion_eval_mean")
+META_TYPES = {"config": dict, "out_dir": str, "stage": str, "generation": int, "history": list,
+              "best_fitness": float, "champion_eval_mean": float, "optimizer": dict}
 FINAL_EVAL_SEED_SUBOFFSET = 100_000
 
 HISTORY_COLUMNS = [f.name for f in fields(GenerationRecord)]
@@ -42,36 +46,93 @@ def _history_row(rec):
 
 
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
-    payload = {
-        "schema_version": RUNNER_SCHEMA_VERSION,
-        "config": to_dict(cfg),
-        "out_dir": str(out_dir),
-        "runner": runner,
-    }
-    # Written beside the target and renamed over it, so a crash mid-write
-    # leaves the previous checkpoint whole.
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write the run as one ``.npz``: its arrays as members, the rest as the
+    UTF-8 JSON member ``meta``; a symmetric matrix keeps its upper triangle."""
+    opt, scalars = runner.optimizer, {}
+    arrays = {name: getattr(runner, name) for name in RUNNER_ARRAYS}
+    for name in opt.STATE:
+        value = getattr(opt, name)
+        if name in opt.SYMMETRIC:
+            if not np.array_equal(value, value.T):
+                raise CheckpointError(f"optimizer.{name}: not exactly symmetric")
+            value = value[np.triu(np.ones(value.shape, dtype=bool))]
+        if isinstance(value, np.ndarray):
+            arrays[f"optimizer.{name}"] = value
+        else:
+            is_rng = isinstance(value, np.random.Generator)
+            scalars[name] = value.bit_generator.state if is_rng else value
+    meta = {"schema_version": RUNNER_SCHEMA_VERSION, "config": to_dict(cfg),
+            "out_dir": str(out_dir), **{name: getattr(runner, name) for name in RUNNER_FIELDS},
+            "history": [astuple(rec) for rec in runner.history], "optimizer": scalars}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    write_atomically(path, lambda fh: np.savez(fh, **arrays))
 
 
 def _load_runner_checkpoint(path):
+    """The config mapping, ``out_dir`` and runner of a run checkpoint: the
+    runner is rebuilt from the config and its saved state written over it.
+    Nothing is unpickled, and each error names the member or field at fault."""
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise CheckpointError(f"cannot decode run checkpoint {path}: {exc}") from exc
-    version = payload.get("schema_version")
-    if version != RUNNER_SCHEMA_VERSION:
-        raise CheckpointError(f"schema_version: run checkpoint {path} has version "
-                              f"{version}; only version {RUNNER_SCHEMA_VERSION} resumes")
-    return payload
+        with open(path, "rb") as fh, NpzFile(fh, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+    except OSError as exc:
+        raise CheckpointError(f"cannot read run checkpoint {path}: {exc}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:  # a pickle or .npy is no zip archive
+        raise CheckpointError(f"schema_version: {path} is not a version-{RUNNER_SCHEMA_VERSION} "
+                              f"run checkpoint (an .npz); pickled versions 1-3 do not resume: "
+                              f"{exc}") from exc
+    try:
+        meta = json.loads(bytes(members.pop("meta")))
+    except (KeyError, ValueError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"meta: missing, or no UTF-8 JSON object, in {path}")
+    if meta.get("schema_version") != RUNNER_SCHEMA_VERSION:
+        raise CheckpointError(f"schema_version: {path} has version {meta.get('schema_version')}"
+                              f"; only version {RUNNER_SCHEMA_VERSION} resumes")
+    for name, kind in META_TYPES.items():
+        if not isinstance(meta.get(name), kind):
+            raise CheckpointError(f"{name}: missing, or no {kind.__name__}, in {path}")
+    cfg = from_dict(meta["config"])
+    dim = count_parameters(cfg.architecture())
+
+    def array(name, shape):
+        saved = members.get(name)
+        if not isinstance(saved, np.ndarray) or saved.shape != shape or saved.dtype != float:
+            raise CheckpointError(f"{name}: missing, or not float64 of shape {shape} "
+                                  f"(dimension {dim}), in {path}")
+        return saved
+
+    runner = PipelineRunner(cfg.pipeline(), dim, np.zeros(dim))
+    try:
+        runner.start_stage(meta["stage"], np.zeros(dim))
+        runner.history = [GenerationRecord(*row) for row in meta["history"]]
+    except DomainError as exc:  # it names the stage
+        raise CheckpointError(f"{exc} in {path}") from exc
+    except TypeError as exc:
+        raise CheckpointError(f"history: malformed in {path}: {exc}") from exc
+    for name in RUNNER_ARRAYS:
+        setattr(runner, name, array(name, (dim,)))
+    for name in RUNNER_FIELDS:
+        setattr(runner, name, meta[name])
+    opt, scalars = runner.optimizer, meta["optimizer"]
+    for name in opt.STATE:
+        value, key = getattr(opt, name), f"optimizer.{name}"
+        if name in opt.SYMMETRIC:
+            mask = np.triu(np.ones(value.shape, dtype=bool))
+            value[mask] = value.T[mask] = array(key, (len(value) * (len(value) + 1) // 2,))
+        elif isinstance(value, np.ndarray):
+            setattr(opt, name, array(key, value.shape))
+        elif not isinstance(value, np.random.Generator):
+            if not isinstance(scalars.get(name), type(value)):
+                raise CheckpointError(f"{key}: missing, or no {type(value).__name__}, in {path}")
+            setattr(opt, name, scalars[name])
+        else:
+            try:
+                value.bit_generator.state = scalars[name]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{key}: missing or malformed in {path}: {exc!r}") from exc
+    return {"config": meta["config"], "out_dir": meta["out_dir"], "runner": runner}
 
 
 class _GuardedEvaluator:
@@ -129,7 +190,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         history_fh.flush()
         if r.generation % cfg.run.checkpoint_every == 0 or r.finished:
             _save_runner_checkpoint(
-                ckpt_dir / f"runner_gen{r.generation}.pkl", cfg, out_dir, r
+                ckpt_dir / f"runner_gen{r.generation}.npz", cfg, out_dir, r
             )
         if not quiet and rec.generation % 10 == 0:
             print(

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -275,8 +277,21 @@ def save_champion(path, arch: Architecture, genome, eval_info=None):
         "weight_checksum": checksum,
         "eval": eval_info,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_atomically(path, lambda fh: json.dump(payload, fh), mode="w")
+
+
+def write_atomically(path, write, mode="wb"):
+    """``write(fh)`` to a synced file beside ``path``, renamed over it: a crash
+    mid-write leaves the previous file whole."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_champion(path):

@@ -33,6 +33,10 @@ class GeneticAlgorithm:
     elites plus elementwise Gaussian noise. No crossover.
     """
 
+    # Attributes a run checkpoint saves; the rest follow from the config.
+    STATE = ("population", "rng")
+    SYMMETRIC = ()
+
     def __init__(self, x0, popsize=512, elite_frac=0.125, mutation_std=1.0, seed=None):
         self.dim = len(x0)
         self.popsize = integer("popsize", popsize)
@@ -69,6 +73,9 @@ class CmaEs:
     shaping beyond ranking (no weight decay penalty). ``tell`` updates
     ``cov`` in place.
     """
+
+    STATE = ("mean", "sigma", "cov", "p_sigma", "p_c", "generation", "rng")
+    SYMMETRIC = ("cov",)  # saved as the upper triangle
 
     def __init__(self, x0, sigma0=0.5, popsize=None, seed=None):
         x0 = np.asarray(x0, dtype=np.float64)
@@ -179,6 +186,9 @@ class OpenEs:
     centered-rank fitness shaping; plain gradient ascent on the center.
     """
 
+    STATE = ("center", "rng")
+    SYMMETRIC = ()
+
     def __init__(self, x0, sigma=0.1, lr=0.01, popsize=128, seed=None):
         self.popsize = integer("popsize", popsize)
         if popsize % 2 != 0:
@@ -263,8 +273,8 @@ class PipelineRunner:
 
     ``best``/``best_fitness`` record the current stage's fittest candidate,
     the first on ties; before its first generation, its start point at -inf.
-    The runner is picklable between generations; evaluation callables are
-    supplied to :meth:`run` so checkpoints never capture closures.
+    Evaluation callables are supplied to :meth:`run`, so between generations
+    the runner holds only search state, which a run checkpoint records.
     """
 
     def __init__(self, cfg: PipelineConfig, dim: int, x0):
@@ -273,20 +283,8 @@ class PipelineRunner:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (dim,):
             raise ConfigError(f"x0: expected shape ({dim},), got {x0.shape}")
-        seq = np.random.SeedSequence(cfg.seed)
-        self._opt_seeds = seq.spawn(2)
-        if cfg.optimizer_kind == "openes":
-            self.stage = "openes"
-            self.optimizer = OpenEs(
-                x0, sigma=cfg.openes_sigma, lr=cfg.openes_lr,
-                popsize=cfg.openes_pop, seed=self._opt_seeds[0],
-            )
-        else:
-            self.stage = "ga"
-            self.optimizer = GeneticAlgorithm(
-                x0, popsize=cfg.ga_pop, elite_frac=cfg.ga_elite_frac,
-                mutation_std=cfg.ga_mutation_std, seed=self._opt_seeds[0],
-            )
+        self._opt_seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+        self.start_stage("openes" if cfg.optimizer_kind == "openes" else "ga", x0)
         self.generation = 0
         self.history: list[GenerationRecord] = []
         self.best = x0.copy()
@@ -304,14 +302,26 @@ class PipelineRunner:
             and self.generation >= self.cfg.ga_generations
             and self.generation < self.cfg.total_generations
         ):
-            self.stage = "cmaes"
             self.best_fitness = -np.inf
-            self.optimizer = CmaEs(
-                self.best,
-                sigma0=self.cfg.cmaes_sigma0,
-                popsize=self.cfg.cmaes_pop,
-                seed=self._opt_seeds[1],
+            self.start_stage("cmaes", self.best)
+
+    def start_stage(self, stage, x0):
+        """Enter ``stage`` with its optimizer freshly seeded at ``x0``."""
+        cfg = self.cfg
+        if stage not in (("openes",) if cfg.optimizer_kind == "openes" else ("ga", "cmaes")):
+            raise DomainError(f"stage: {stage!r} is no stage of {cfg.optimizer_kind!r}")
+        if stage == "openes":
+            optimizer = OpenEs(x0, sigma=cfg.openes_sigma, lr=cfg.openes_lr,
+                               popsize=cfg.openes_pop, seed=self._opt_seeds[0])
+        elif stage == "ga":
+            optimizer = GeneticAlgorithm(
+                x0, popsize=cfg.ga_pop, elite_frac=cfg.ga_elite_frac,
+                mutation_std=cfg.ga_mutation_std, seed=self._opt_seeds[0],
             )
+        else:
+            optimizer = CmaEs(x0, sigma0=cfg.cmaes_sigma0, popsize=cfg.cmaes_pop,
+                              seed=self._opt_seeds[1])
+        self.stage, self.optimizer = stage, optimizer
 
     def step(self, eval_population, periodic_eval=None):
         """Run one generation; returns its GenerationRecord."""

@@ -2,6 +2,7 @@ import csv
 import json
 import pickle
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ class TestTrain:
         assert (trained_run / "champion.json").exists()
         assert (trained_run / "eval.json").exists()
         assert (trained_run / "config.yaml").exists()
-        assert (trained_run / "checkpoints" / "runner_gen1.pkl").exists()
+        assert (trained_run / "checkpoints" / "runner_gen1.npz").exists()
 
     def test_config_yaml_lists_every_resolved_field(self, tmp_path, trained_run):
         saved = yaml.safe_load((trained_run / "config.yaml").read_text())
@@ -382,34 +383,70 @@ def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
 
 
 def edited_checkpoint(trained_run, tmp_path, edit):
-    """A copy of the generation-2 checkpoint with ``edit`` applied to its payload."""
-    with open(trained_run / "checkpoints" / "runner_gen2.pkl", "rb") as fh:
-        payload = pickle.load(fh)
-    edit(payload)
-    ckpt = tmp_path / "edited.pkl"
-    with open(ckpt, "wb") as fh:
-        pickle.dump(payload, fh)
+    """A copy of the generation-2 checkpoint after ``edit`` of its members,
+    where the JSON member ``meta`` is decoded."""
+    with np.load(trained_run / "checkpoints" / "runner_gen2.npz") as npz:
+        members = {name: npz[name] for name in npz.files}
+    members["meta"] = json.loads(members["meta"].tobytes())
+    edit(members)
+    if "meta" in members:
+        members["meta"] = np.frombuffer(json.dumps(members["meta"]).encode(), dtype=np.uint8)
+    ckpt = tmp_path / "edited.npz"
+    np.savez(ckpt, **members)
     return ckpt
+
+
+def resume_fails(ckpt, tmp_path, capsys, field, code=2):
+    """Resume from ``ckpt`` fails with ``code``, names ``field`` and makes no run."""
+    out = tmp_path / "resumed"
+    assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
+                 "--quiet"]) == code
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class _Unpickles:
+    def __reduce__(self):
+        return _record_unpickling, ()
 
 
 class TestResume:
     def test_resume_matches_uninterrupted(self, trained_run, tmp_path):
         # Generation 2 is the hand-over to CMA-ES.
-        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen2.pkl")
+        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen2.npz")
 
     def test_resume_mid_cma_matches_uninterrupted(self, trained_run, tmp_path):
         # Generation 3 is mid CMA stage.
-        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen3.pkl")
+        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen3.npz")
+
+    def test_resume_ga_stage_matches_uninterrupted(self, trained_run, tmp_path):
+        assert_resume_matches_uninterrupted(trained_run, tmp_path, "runner_gen1.npz")
+
+    def test_resume_openes_matches_uninterrupted(self, tmp_path):
+        cfg = write_config(tmp_path / "openes.yaml", preset="cartpole-same-ffnn",
+                           arch={"layer_sizes": [5, 4, 1]},
+                           optimizer={"total_generations": 4, "openes_pop": 4,
+                                      "eval_every": 2, "eval_episodes": 2})
+        run = tmp_path / "openes"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(run), "--quiet"]) == 0
+        assert_resume_matches_uninterrupted(run, tmp_path, "runner_gen2.npz")
 
     def test_resume_finished_run_is_noop(self, trained_run, capsys):
-        ckpt = trained_run / "checkpoints" / "runner_gen4.pkl"
+        ckpt = trained_run / "checkpoints" / "runner_gen4.npz"
         assert main(["resume", "--checkpoint", str(ckpt), "--quiet"]) == 0
         assert "finished" in capsys.readouterr().out
 
     def test_resume_with_edited_arch_rejected(self, trained_run, tmp_path):
         cfg = write_config(tmp_path / "edited.yaml",
                            **{"arch.layer_sizes": [5, 8, 4, 1]})
-        ckpt = trained_run / "checkpoints" / "runner_gen2.pkl"
+        ckpt = trained_run / "checkpoints" / "runner_gen2.npz"
         assert main(["resume", "--checkpoint", str(ckpt), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "x"), "--quiet"]) == 1
 
@@ -419,20 +456,20 @@ class TestResume:
 
         ckpt_dir = tmp_path / "checkpoints"
         ckpt_dir.mkdir()
-        target = ckpt_dir / "runner.pkl"
-        shutil.copy(trained_run / "checkpoints" / "runner_gen2.pkl", target)
-        later = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen4.pkl")
+        target = ckpt_dir / "runner.npz"
+        shutil.copy(trained_run / "checkpoints" / "runner_gen2.npz", target)
+        later = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen4.npz")
 
-        def crashing_dump(obj, fh):
+        def crashing_savez(fh, **arrays):
             fh.write(b"partial checkpoint bytes")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.pickle, "dump", crashing_dump)
+        monkeypatch.setattr(cli.np, "savez", crashing_savez)
         with pytest.raises(OSError, match="disk full"):
             cli._save_runner_checkpoint(target, from_dict(later["config"]), tmp_path,
                                         later["runner"])
         monkeypatch.undo()
-        assert [p.name for p in ckpt_dir.iterdir()] == ["runner.pkl"]
+        assert [p.name for p in ckpt_dir.iterdir()] == ["runner.npz"]
         assert cli._load_runner_checkpoint(target)["runner"].generation == 2
         assert main(["resume", "--checkpoint", str(target), "--out-dir",
                      str(tmp_path / "resumed"), "--quiet"]) == 0
@@ -440,7 +477,7 @@ class TestResume:
     def test_resume_with_spelled_out_default_accepted(self, trained_run, tmp_path):
         # A config that writes out a default resolves to the checkpointed one.
         cfg = write_config(tmp_path / "same.yaml", env={"max_steps": 100, "dt": 0.01})
-        ckpt = trained_run / "checkpoints" / "runner_gen2.pkl"
+        ckpt = trained_run / "checkpoints" / "runner_gen2.npz"
         out = tmp_path / "resumed"
         assert main(["resume", "--checkpoint", str(ckpt), "--config", str(cfg),
                      "--out-dir", str(out), "--quiet"]) == 0
@@ -448,30 +485,62 @@ class TestResume:
             history_without_wallclock(out / "history.csv")
 
     def test_checkpointed_output_kinds_rejected(self, trained_run, tmp_path, capsys):
-        ckpt = edited_checkpoint(trained_run, tmp_path, lambda payload: payload[
-            "config"]["arch"].update(output_kinds=["tanh"]))
-        out = tmp_path / "resumed"
-        assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
-                     "--quiet"]) == 1
-        assert not out.exists()
-        assert "output_kinds" in capsys.readouterr().err
+        ckpt = edited_checkpoint(trained_run, tmp_path, lambda members: members[
+            "meta"]["config"]["arch"].update(output_kinds=["tanh"]))
+        resume_fails(ckpt, tmp_path, capsys, "output_kinds", code=1)
 
-    def test_schema_2_checkpoint_rejected(self, trained_run, tmp_path, capsys):
-        # Version-2 checkpoints pickled a runner without the record of its
-        # stage's best candidate, which the optimizer kept then.
-        def as_version_2(payload):
-            payload["schema_version"] = 2
-            del payload["runner"].best, payload["runner"].best_fitness
+    def test_schema_3_pickle_refused_unread(self, tmp_path, capsys):
+        # Versions 1 to 3 pickled the runner; loading one would run its code.
+        ckpt = tmp_path / "runner_gen2.pkl"
+        with open(ckpt, "wb") as fh:
+            pickle.dump({"schema_version": 3, "runner": _Unpickles()}, fh)
+        resume_fails(ckpt, tmp_path, capsys, "schema_version")
+        assert not UNPICKLED
 
-        ckpt = edited_checkpoint(trained_run, tmp_path, as_version_2)
-        out = tmp_path / "resumed"
-        assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
-                     "--quiet"]) == 2
-        assert not out.exists()
-        assert "schema_version" in capsys.readouterr().err
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda m: m["meta"].update(schema_version=3), "schema_version",
+                     id="old-version"),
+        pytest.param(lambda m: m.pop("optimizer.cov"), "optimizer.cov", id="no-cov"),
+        pytest.param(lambda m: m.pop("best"), "best", id="no-best"),
+        pytest.param(lambda m: m.pop("meta"), "meta", id="no-meta"),
+        pytest.param(lambda m: m["meta"].pop("generation"), "generation",
+                     id="no-generation"),
+        pytest.param(lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",
+                     id="no-rng"),
+        pytest.param(lambda m: m["meta"]["optimizer"].update(sigma="0.5"),
+                     "optimizer.sigma", id="sigma-string"),
+        pytest.param(lambda m: m.update({"optimizer.cov": m["optimizer.cov"][:-1]}),
+                     "optimizer.cov", id="short-triangle"),
+        pytest.param(lambda m: m.update({"optimizer.mean": m["optimizer.mean"][:, None]}),
+                     "optimizer.mean", id="mean-2d"),
+        pytest.param(lambda m: m.update(meta=[]), "meta", id="meta-list"),
+        pytest.param(lambda m: m["meta"].update(config=["tiny"]), "config",
+                     id="config-list"),
+        pytest.param(lambda m: m["meta"].update(optimizer=None), "optimizer",
+                     id="optimizer-null"),
+        pytest.param(lambda m: m["meta"].update(stage="openes"), "stage: 'openes'",
+                     id="foreign-stage"),
+        pytest.param(lambda m: m["meta"].update(history=[[0, "ga"]]), "history: ",
+                     id="short-history-row"),
+    ])
+    def test_bad_checkpoint_names_its_field(self, trained_run, tmp_path, capsys,
+                                            edit, field):
+        resume_fails(edited_checkpoint(trained_run, tmp_path, edit), tmp_path, capsys,
+                     field)
+
+    def test_checkpoint_is_one_pickle_free_archive(self, trained_run):
+        ckpt = trained_run / "checkpoints" / "runner_gen3.npz"
+        with zipfile.ZipFile(ckpt) as zf:
+            names = sorted(zf.namelist())
+        assert names == sorted(f"{name}.npy" for name in (
+            "meta", "best", "champion", "optimizer.mean", "optimizer.cov",
+            "optimizer.p_sigma", "optimizer.p_c"))
+        with np.load(ckpt, allow_pickle=False) as npz:
+            assert npz["optimizer.cov"].shape == (96 * 97 // 2,)
+            assert all(npz[name].dtype != object for name in npz.files)
 
     def test_resume_missing_checkpoint(self, tmp_path):
-        assert main(["resume", "--checkpoint", str(tmp_path / "nope.pkl"),
+        assert main(["resume", "--checkpoint", str(tmp_path / "nope.npz"),
                      "--quiet"]) == 2
 
 

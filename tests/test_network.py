@@ -295,6 +295,28 @@ class TestChampionCheckpoint:
         save_champion(again, arch2, genome2, eval_info=info)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
+        import json
+
+        from evounits import network
+
+        a = rec_arch((3, 4, 1), seed=5)
+        genome = np.random.default_rng(0).normal(size=count_parameters(a))
+        path = tmp_path / "champion.json"
+        save_champion(path, a, genome)
+
+        def crashing_dump(obj, fh):
+            fh.write('{"schema_version": 1, "gen')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network.json, "dump", crashing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_champion(path, a, genome + 1.0)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["champion.json"]
+        assert np.array_equal(load_champion(path)[1], genome)
+        assert json.loads(path.read_text())["kind"] == "champion"
+
     def test_corrupted_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -5,9 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from evounits import cli
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
-from evounits.errors import ConfigError, DomainError
+from evounits.config import from_dict
+from evounits.errors import CheckpointError, ConfigError, DomainError
 from evounits.harness import PopulationEvaluator, evaluate, probe_layer
 from evounits.neural_unit import NeuronMode
 from evounits.optimizers import (
@@ -22,6 +24,19 @@ from evounits.optimizers import (
 
 def sphere(x):
     return -np.sum(np.square(x), axis=-1)
+
+
+def experiment(layer_sizes, **optimizer):
+    """A recurrent-unit experiment, 6 parameters per neuron of ``layer_sizes``."""
+    return from_dict({"preset": "cartpole-recurrent", "optimizer": optimizer,
+                      "arch": {"layer_sizes": layer_sizes}, "seeds": {"master_seed": 0}})
+
+
+def checkpoint_round_trip(tmp_path, cfg, runner):
+    """``runner`` written as a run checkpoint of ``cfg`` and read back."""
+    path = tmp_path / "runner.npz"
+    cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
+    return cli._load_runner_checkpoint(path)["runner"]
 
 
 def reference_tell(es, fitnesses):
@@ -226,12 +241,29 @@ class TestCmaEs:
             with pytest.raises(ConfigError, match="popsize"):
                 CmaEs(np.zeros(10), popsize=popsize, seed=0)
 
-    def test_pickle_holds_one_square_matrix(self):
-        import pickle
+    def test_checkpoint_holds_half_a_square_matrix(self, tmp_path):
+        cfg = experiment([5, 44, 1], total_generations=3, ga_generations=1, ga_pop=4,
+                         cmaes_pop=16)
+        runner = PipelineRunner(cfg.pipeline(), 300, np.zeros(300))
+        for _ in range(2):
+            runner.step(_deterministic_eval)
+        es = runner.optimizer
+        assert es.dim == 300 and es.generation == 1
+        path = tmp_path / "runner.npz"
+        cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
+        assert path.stat().st_size < 0.55 * es.cov.nbytes + 64_000
+        assert np.array_equal(cli._load_runner_checkpoint(path)["runner"].optimizer.cov,
+                              es.cov)
 
-        es = CmaEs(np.zeros(300), popsize=16, seed=0)
-        es.tell(sphere(es.ask()))
-        assert len(pickle.dumps(es)) < 1.1 * es.cov.nbytes
+    def test_asymmetric_covariance_not_saved(self, tmp_path):
+        cfg = experiment([5, 1], total_generations=3, ga_generations=1, ga_pop=4)
+        runner = PipelineRunner(cfg.pipeline(), 36, np.zeros(36))
+        runner.step(_deterministic_eval)
+        runner.optimizer.cov[0, 1] += 1e-16
+        path = tmp_path / "runner.npz"
+        with pytest.raises(CheckpointError, match="optimizer.cov"):
+            cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
+        assert list(tmp_path.iterdir()) == []
 
     def test_tell_bitwise_as_reference_expression(self):
         # The linear fitness drives |p_sigma| up until h_sigma turns False,
@@ -264,22 +296,25 @@ class TestCmaEs:
             tracemalloc.stop()
         assert peak - held <= 2.5 * n * n * 8
 
-    def test_pickle_round_trip_mid_run(self):
+    def test_checkpoint_round_trip_mid_run(self, tmp_path):
         # A small population next to n: the lazy eigendecomposition cadence of
         # the literature would skip generations here, so any eigensystem
         # state kept across generations would have to survive the round trip.
-        import pickle
-
-        es = CmaEs(np.full(96, 0.5), sigma0=0.3, popsize=4, seed=11)
-        for _ in range(3):
-            es.tell(sphere(es.ask()))
-        clone = pickle.loads(pickle.dumps(es))
+        cfg = experiment([5, 10, 1], total_generations=12, ga_generations=1, ga_pop=4,
+                         cmaes_pop=4, cmaes_sigma0=0.3)
+        runner = PipelineRunner(cfg.pipeline(), 96, np.full(96, 0.5))
+        for _ in range(4):
+            runner.step(_deterministic_eval)
+        assert runner.stage == "cmaes" and runner.optimizer.generation == 3
+        clone = checkpoint_round_trip(tmp_path, cfg, runner)
+        es, es_clone = runner.optimizer, clone.optimizer
         for _ in range(5):
-            x, x_clone = es.ask(), clone.ask()
+            x, x_clone = es.ask(), es_clone.ask()
             assert np.array_equal(x, x_clone)
             es.tell(sphere(x))
-            clone.tell(sphere(x_clone))
-            assert np.array_equal(es.cov, clone.cov)
+            es_clone.tell(sphere(x_clone))
+            assert np.array_equal(es.cov, es_clone.cov)
+            assert es.sigma == es_clone.sigma
 
 
 class TestOpenEs:
@@ -480,18 +515,29 @@ class TestPipeline:
         result = PipelineRunner(cfg, 3, np.zeros(3)).run(_deterministic_eval)
         assert len(result.history) == 20
 
-    def test_runner_pickle_round_trip(self):
-        import pickle
+    @pytest.mark.parametrize("kind, steps", [("ga-cmaes", 7), ("ga-cmaes", 10),
+                                             ("ga-cmaes", 13), ("openes", 7)])
+    def test_runner_checkpoint_round_trip(self, tmp_path, kind, steps):
+        # In the GA stage, at the hand-over to CMA-ES and in it, and in OpenES.
+        cfg = experiment([5, 1], optimizer_kind=kind, total_generations=20,
+                         ga_generations=10, ga_pop=16, cmaes_pop=8, openes_pop=8,
+                         eval_every=5, eval_episodes=4)
+        runner = PipelineRunner(cfg.pipeline(), 36, np.zeros(36))
 
-        cfg = self.cfg()
-        runner = PipelineRunner(cfg, 5, np.zeros(5))
-        for _ in range(7):
-            runner.step(_deterministic_eval)
-        clone = pickle.loads(pickle.dumps(runner))
-        for _ in range(13):
-            runner.step(_deterministic_eval)
-            clone.step(_deterministic_eval)
+        def periodic(genome):
+            return sphere(genome), 0.0
+
+        for _ in range(steps):
+            runner.step(_deterministic_eval, periodic)
+        clone = checkpoint_round_trip(tmp_path, cfg, runner)
+        assert clone.stage == runner.stage
+        assert list(map(repr, clone.history)) == list(map(repr, runner.history))  # NaNs
+        for _ in range(20 - steps):
+            runner.step(_deterministic_eval, periodic)
+            clone.step(_deterministic_eval, periodic)
         assert runner.finished and clone.finished
         a = [(r.best_fitness, r.mean_fitness) for r in runner.history]
         b = [(r.best_fitness, r.mean_fitness) for r in clone.history]
         assert a == b
+        assert np.array_equal(runner.champion, clone.champion)
+        assert runner.champion_eval_mean == clone.champion_eval_mean
