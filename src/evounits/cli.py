@@ -29,9 +29,9 @@ from .harness import (
     write_trace_csv,
 )
 from .network import load_champion, save_champion, write_atomically
-from .optimizers import GenerationRecord, PipelineRunner
+from .optimizers import GenerationRecord, GeneticAlgorithm, PipelineRunner
 
-RUNNER_SCHEMA_VERSION = 4
+RUNNER_SCHEMA_VERSION = 5
 RUNNER_ARRAYS = ("best", "champion")
 RUNNER_FIELDS = ("stage", "generation", "best_fitness", "champion_eval_mean")
 META_TYPES = {"config": dict, "out_dir": str, "stage": str, "generation": int, "history": list,
@@ -132,6 +132,9 @@ def _load_runner_checkpoint(path):
                 value.bit_generator.state = scalars[name]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(f"{key}: missing or malformed in {path}: {exc!r}") from exc
+    if isinstance(opt, GeneticAlgorithm) and not 1 <= opt.parents <= opt.n_elite:
+        raise CheckpointError(f"optimizer.parents: {opt.parents} is not in 1..{opt.n_elite} "
+                              f"in {path}")
     return {"config": meta["config"], "out_dir": meta["out_dir"], "runner": runner}
 
 

@@ -13,6 +13,7 @@ import yaml
 from .architecture import Architecture
 from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
+from .network import write_atomically
 from .optimizers import PipelineConfig
 from .schema import at_least, check_fields, to_plain
 
@@ -207,5 +208,4 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
 
 
 def save_config(path, cfg: ExperimentConfig):
-    with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(cfg), fh, sort_keys=False)
+    write_atomically(path, lambda fh: yaml.safe_dump(to_dict(cfg), fh, sort_keys=False), "w")

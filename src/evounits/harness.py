@@ -19,7 +19,7 @@ from .architecture import Architecture
 from .cartpole import BatchedSwingUp, SwingUpParams, check_arch
 from .errors import ConfigError
 from .neural_unit import NeuronMode
-from .network import BatchedPolicy, worker_splits
+from .network import BatchedPolicy, worker_splits, write_atomically
 from .schema import integer
 
 # Evaluation episode seeds live far away from training seeds (which count up
@@ -214,8 +214,7 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
 
 
 def write_eval_json(path, report: EvalReport):
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2)
+    write_atomically(path, lambda fh: json.dump(asdict(report), fh, indent=2), "w")
 
 
 def write_trace_csv(path, probe: LayerProbe):

@@ -31,10 +31,14 @@ def _check_fitnesses(fitnesses, expected):
 class GeneticAlgorithm:
     """Truncation-selection GA: elites survive unchanged, offspring are
     elites plus elementwise Gaussian noise. No crossover.
+
+    Between generations it holds only the first ``parents`` rows of
+    ``elites`` and its generator: the start point alone until the first
+    ``tell``, then the ``n_elite`` fittest candidates. ``ask`` breeds.
     """
 
     # Attributes a run checkpoint saves; the rest follow from the config.
-    STATE = ("population", "rng")
+    STATE = ("elites", "parents", "rng")
     SYMMETRIC = ()
 
     def __init__(self, x0, popsize=512, elite_frac=0.125, mutation_std=1.0, seed=None):
@@ -45,24 +49,37 @@ class GeneticAlgorithm:
             raise ConfigError("elite_frac: must leave room for offspring")
         self.mutation_std = float(mutation_std)
         self.rng = np.random.default_rng(seed)
-        x0 = np.asarray(x0, dtype=np.float64)
-        # First population: the start point plus mutated copies of it.
-        pop = np.tile(x0, (self.popsize, 1))
-        pop[1:] += self.rng.normal(0.0, self.mutation_std, size=(self.popsize - 1, self.dim))
-        self.population = pop
+        self.elites = np.tile(np.asarray(x0, dtype=np.float64), (self.n_elite, 1))
+        self.parents = 1
+        self._pending = None
 
     def ask(self):
-        return self.population.copy()
+        """The parents, then each child a random parent plus noise. Noise is
+        drawn in blocks of ``n_elite`` rows, which give the stream of one
+        draw, and picking among one parent draws no bits: each population is
+        bitwise what one draw of every child's parent, then one of all their
+        noise, would give."""
+        pop = np.empty((self.popsize, self.dim))
+        k = self.parents
+        pop[:k] = self.elites[:k]
+        # "clip" takes straight into ``out``; "raise" would buffer the children.
+        np.take(self.elites, self.rng.integers(0, k, size=self.popsize - k), axis=0,
+                out=pop[k:], mode="clip")
+        for start in range(k, self.popsize, self.n_elite):
+            block = pop[start:start + self.n_elite]
+            block += self.rng.normal(0.0, self.mutation_std, size=block.shape)
+        pop.flags.writeable = False  # tell selects from what was evaluated
+        self._pending = pop
+        return pop
 
     def tell(self, fitnesses):
+        if self._pending is None:
+            raise DomainError("tell() before ask()")
         f = _check_fitnesses(fitnesses, self.popsize)
         order = np.argsort(-f, kind="stable")
-        elites = self.population[order[: self.n_elite]]
-        n_children = self.popsize - self.n_elite
-        # Mutated in place: one population-sized array fewer at tell's peak.
-        children = elites[self.rng.integers(0, self.n_elite, size=n_children)]
-        children += self.rng.normal(0.0, self.mutation_std, size=(n_children, self.dim))
-        self.population = np.vstack([elites, children])
+        np.take(self._pending, order[: self.n_elite], axis=0, out=self.elites)
+        self._pending = None
+        self.parents = self.n_elite
 
 
 class CmaEs:

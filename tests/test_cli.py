@@ -382,10 +382,10 @@ def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
     assert champ1["genome"] == champ2["genome"]
 
 
-def edited_checkpoint(trained_run, tmp_path, edit):
-    """A copy of the generation-2 checkpoint after ``edit`` of its members,
-    where the JSON member ``meta`` is decoded."""
-    with np.load(trained_run / "checkpoints" / "runner_gen2.npz") as npz:
+def edited_checkpoint(trained_run, tmp_path, edit, generation=2):
+    """A copy of the checkpoint of ``generation`` after ``edit`` of its
+    members, where the JSON member ``meta`` is decoded."""
+    with np.load(trained_run / "checkpoints" / f"runner_gen{generation}.npz") as npz:
         members = {name: npz[name] for name in npz.files}
     members["meta"] = json.loads(members["meta"].tobytes())
     edit(members)
@@ -497,36 +497,61 @@ class TestResume:
         resume_fails(ckpt, tmp_path, capsys, "schema_version")
         assert not UNPICKLED
 
-    @pytest.mark.parametrize("edit, field", [
-        pytest.param(lambda m: m["meta"].update(schema_version=3), "schema_version",
+    # Generation 2 is the hand-over to CMA-ES; generation 1 is in the GA
+    # stage, where the tiny run keeps one elite.
+    @pytest.mark.parametrize("generation, edit, field", [
+        pytest.param(2, lambda m: m["meta"].update(schema_version=3), "schema_version",
                      id="old-version"),
-        pytest.param(lambda m: m.pop("optimizer.cov"), "optimizer.cov", id="no-cov"),
-        pytest.param(lambda m: m.pop("best"), "best", id="no-best"),
-        pytest.param(lambda m: m.pop("meta"), "meta", id="no-meta"),
-        pytest.param(lambda m: m["meta"].pop("generation"), "generation",
+        pytest.param(2, lambda m: m["meta"].update(schema_version=4), "schema_version",
+                     id="version-4"),
+        pytest.param(2, lambda m: m.pop("optimizer.cov"), "optimizer.cov", id="no-cov"),
+        pytest.param(2, lambda m: m.pop("best"), "best", id="no-best"),
+        pytest.param(2, lambda m: m.pop("meta"), "meta", id="no-meta"),
+        pytest.param(2, lambda m: m["meta"].pop("generation"), "generation",
                      id="no-generation"),
-        pytest.param(lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",
+        pytest.param(2, lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",
                      id="no-rng"),
-        pytest.param(lambda m: m["meta"]["optimizer"].update(sigma="0.5"),
+        pytest.param(2, lambda m: m["meta"]["optimizer"].update(sigma="0.5"),
                      "optimizer.sigma", id="sigma-string"),
-        pytest.param(lambda m: m.update({"optimizer.cov": m["optimizer.cov"][:-1]}),
+        pytest.param(2, lambda m: m.update({"optimizer.cov": m["optimizer.cov"][:-1]}),
                      "optimizer.cov", id="short-triangle"),
-        pytest.param(lambda m: m.update({"optimizer.mean": m["optimizer.mean"][:, None]}),
+        pytest.param(2, lambda m: m.update({"optimizer.mean": m["optimizer.mean"][:, None]}),
                      "optimizer.mean", id="mean-2d"),
-        pytest.param(lambda m: m.update(meta=[]), "meta", id="meta-list"),
-        pytest.param(lambda m: m["meta"].update(config=["tiny"]), "config",
+        pytest.param(2, lambda m: m.update(meta=[]), "meta", id="meta-list"),
+        pytest.param(2, lambda m: m["meta"].update(config=["tiny"]), "config",
                      id="config-list"),
-        pytest.param(lambda m: m["meta"].update(optimizer=None), "optimizer",
+        pytest.param(2, lambda m: m["meta"].update(optimizer=None), "optimizer",
                      id="optimizer-null"),
-        pytest.param(lambda m: m["meta"].update(stage="openes"), "stage: 'openes'",
+        pytest.param(2, lambda m: m["meta"].update(stage="openes"), "stage: 'openes'",
                      id="foreign-stage"),
-        pytest.param(lambda m: m["meta"].update(history=[[0, "ga"]]), "history: ",
+        pytest.param(2, lambda m: m["meta"].update(history=[[0, "ga"]]), "history: ",
                      id="short-history-row"),
+        pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=0),
+                     "optimizer.parents", id="zero-parents"),
+        pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=2),
+                     "optimizer.parents", id="parents-over-elites"),
+        pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=1.0),
+                     "optimizer.parents", id="parents-float"),
+        pytest.param(1, lambda m: m.update({"optimizer.elites": np.tile(
+            m["optimizer.elites"], (2, 1))}), "optimizer.elites", id="elites-extra-row"),
+        pytest.param(1, lambda m: m.pop("optimizer.elites"), "optimizer.elites",
+                     id="no-elites"),
     ])
     def test_bad_checkpoint_names_its_field(self, trained_run, tmp_path, capsys,
-                                            edit, field):
-        resume_fails(edited_checkpoint(trained_run, tmp_path, edit), tmp_path, capsys,
-                     field)
+                                            generation, edit, field):
+        resume_fails(edited_checkpoint(trained_run, tmp_path, edit, generation), tmp_path,
+                     capsys, field)
+
+    def test_ga_checkpoint_holds_elites_not_population(self, trained_run):
+        ckpt = trained_run / "checkpoints" / "runner_gen1.npz"
+        with zipfile.ZipFile(ckpt) as zf:
+            names = sorted(zf.namelist())
+        assert names == sorted(f"{name}.npy" for name in (
+            "meta", "best", "champion", "optimizer.elites"))
+        with np.load(ckpt, allow_pickle=False) as npz:
+            assert npz["optimizer.elites"].shape == (1, 96)
+            meta = json.loads(npz["meta"].tobytes())
+        assert meta["schema_version"] == 5 and meta["optimizer"]["parents"] == 1
 
     def test_checkpoint_is_one_pickle_free_archive(self, trained_run):
         ckpt = trained_run / "checkpoints" / "runner_gen3.npz"

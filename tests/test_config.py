@@ -3,8 +3,9 @@ from dataclasses import FrozenInstanceError, asdict
 import pytest
 import yaml
 
+from evounits import config
 from evounits.architecture import Architecture
-from evounits.config import PRESETS, from_dict, from_preset, to_dict
+from evounits.config import PRESETS, from_dict, from_preset, load_config, save_config, to_dict
 from evounits.errors import ConfigError
 from evounits.neural_unit import NeuronMode
 
@@ -64,3 +65,19 @@ def test_unknown_section_field_named(section, field):
 def test_negative_master_seed_named():
     with pytest.raises(ConfigError, match="seeds.master_seed"):
         from_preset("cartpole-recurrent", {"seeds": {"master_seed": -1}})
+
+
+def test_crash_mid_write_keeps_previous_config(tmp_path, monkeypatch):
+    path = tmp_path / "config.yaml"
+    save_config(path, from_preset("cartpole-recurrent"))
+
+    def crashing_dump(data, fh, **kwargs):
+        fh.write("preset: cartpole-rec")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(config.yaml, "safe_dump", crashing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_config(path, from_preset("cartpole-simple"))
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+    assert load_config(path) == from_preset("cartpole-recurrent")

@@ -351,6 +351,25 @@ class TestWriters:
         assert data["n_episodes"] == 2
         assert data["scores"] == report.scores
 
+    def test_eval_json_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
+        import json
+
+        a = rec_arch()
+        report = evaluate(initial_genome(a), a, ENV, 2, 0)
+        path = tmp_path / "eval.json"
+        write_eval_json(path, report)
+
+        def crashing_dump(obj, fh, **kwargs):
+            fh.write('{"genome_id": "ini')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.json, "dump", crashing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_eval_json(path, evaluate(initial_genome(a), a, ENV, 3, 0))
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+        assert json.loads(path.read_text())["scores"] == report.scores
+
     def test_trace_csv_shape_recurrent(self, tmp_path):
         a = rec_arch()
         g = np.random.default_rng(9).normal(size=count_parameters(a))

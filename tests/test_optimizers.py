@@ -77,6 +77,28 @@ def reference_tell(es, fitnesses):
     return h_sigma
 
 
+def reference_ga(x0, popsize, elite_frac, seed, fitness, generations):
+    """The populations asked of a GA that keeps its whole population and
+    breeds it in ``tell``, each generation's draws in one piece."""
+    n_elite = max(1, int(round(popsize * elite_frac)))
+    rng = np.random.default_rng(seed)
+    pop = np.tile(np.asarray(x0, dtype=np.float64), (popsize, 1))
+    pop[1:] += rng.normal(0.0, 1.0, size=(popsize - 1, len(x0)))
+    asked = []
+    for _ in range(generations):
+        asked.append(pop.copy())
+        elites = pop[np.argsort(-fitness(pop), kind="stable")[:n_elite]]
+        children = elites[rng.integers(0, n_elite, size=popsize - n_elite)]
+        children += rng.normal(0.0, 1.0, size=children.shape)
+        pop = np.vstack([elites, children])
+    return asked
+
+
+def tied_sphere(x):
+    """Sphere fitness rounded to a few values, so selection breaks ties."""
+    return np.round(sphere(x) / 10.0)
+
+
 _ARCH = Architecture((5, 4, 1), NeuronMode.RECURRENT)
 _GENOME = np.zeros(count_parameters(_ARCH))
 _evaluator = partial(PopulationEvaluator, _ARCH, SwingUpParams())
@@ -158,6 +180,57 @@ class TestGeneticAlgorithm:
         ga.ask()
         with pytest.raises(DomainError):
             ga.tell([1.0, np.nan] + [0.0] * 6)
+
+    @pytest.mark.parametrize("popsize, n_elite", [(2, 1), (512, 64), (100, 12)])
+    def test_ask_bitwise_as_reference_ga(self, popsize, n_elite):
+        # The hand-over's pop 2, several noise blocks, and a pop of 88 children
+        # that is no multiple of the 12 elites.
+        x0 = np.linspace(-1.0, 1.0, 9)
+        want = reference_ga(x0, popsize, 0.125, 11, tied_sphere, 12)
+        ga = GeneticAlgorithm(x0, popsize=popsize, seed=11)
+        assert ga.n_elite == n_elite
+        for pop in want:
+            got = ga.ask()
+            assert np.array_equal(got, pop)
+            ga.tell(tied_sphere(got))
+
+    def test_init_draws_nothing_and_holds_no_population(self):
+        # A CMA-stage resume builds the GA stage first and throws it away.
+        n = 400
+        tracemalloc.start()
+        try:
+            ga = GeneticAlgorithm(np.zeros(n), popsize=256, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ga.n_elite * n * 8 + 64_000
+        assert ga.rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    def test_tell_and_ask_hold_about_one_population(self):
+        # A population and one noise block; breeding the whole population at
+        # once in tell holds two populations above what the caller holds.
+        popsize, n = 256, 400
+        ga = GeneticAlgorithm(np.zeros(n), popsize=popsize, seed=0)
+        f = sphere(ga.ask())
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            ga.tell(f)
+            ga.ask()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 1.3 * popsize * n * 8
+
+    def test_asked_population_is_read_only(self):
+        ga = GeneticAlgorithm(np.zeros(3), popsize=8, seed=0)
+        with pytest.raises(ValueError):
+            ga.ask()[0] += 1.0
+
+    def test_tell_before_ask_rejected(self):
+        ga = GeneticAlgorithm(np.zeros(3), popsize=8, seed=0)
+        with pytest.raises(DomainError):
+            ga.tell(np.zeros(8))
 
     def test_improves_from_random_start(self):
         # Statistical: strict improvement within 50 generations on the sphere.
