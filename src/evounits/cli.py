@@ -22,14 +22,16 @@ from .cartpole import SwingUpParams
 from .harness import (
     EVAL_SEED_OFFSET,
     PopulationEvaluator,
-    episode_trajectory,
+    csv_row,
     evaluate,
     probe_layer,
+    write_csv,
     write_eval_json,
     write_trace_csv,
 )
 from .network import load_champion, save_champion, write_atomically
 from .optimizers import GenerationRecord, GeneticAlgorithm, PipelineRunner
+from .schema import is_int
 
 RUNNER_SCHEMA_VERSION = 5
 RUNNER_ARRAYS = ("best", "champion")
@@ -39,10 +41,12 @@ META_TYPES = {"config": dict, "out_dir": str, "stage": str, "generation": int, "
 FINAL_EVAL_SEED_SUBOFFSET = 100_000
 
 HISTORY_COLUMNS = [f.name for f in fields(GenerationRecord)]
+TRAJECTORY_COLUMNS = ["t", "x", "x_dot", "theta", "theta_dot", "action", "reward"]
 
 
-def _history_row(rec):
-    return [v if isinstance(v, (int, str)) else repr(v) for v in astuple(rec)]
+def _is_a(value, kind):
+    """``isinstance``, where a bool is no int."""
+    return is_int(value) if kind is int else isinstance(value, kind)
 
 
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
@@ -91,7 +95,7 @@ def _load_runner_checkpoint(path):
         raise CheckpointError(f"schema_version: {path} has version {meta.get('schema_version')}"
                               f"; only version {RUNNER_SCHEMA_VERSION} resumes")
     for name, kind in META_TYPES.items():
-        if not isinstance(meta.get(name), kind):
+        if not _is_a(meta.get(name), kind):
             raise CheckpointError(f"{name}: missing, or no {kind.__name__}, in {path}")
     cfg = from_dict(meta["config"])
     dim = count_parameters(cfg.architecture())
@@ -124,7 +128,7 @@ def _load_runner_checkpoint(path):
         elif isinstance(value, np.ndarray):
             setattr(opt, name, array(key, value.shape))
         elif not isinstance(value, np.random.Generator):
-            if not isinstance(scalars.get(name), type(value)):
+            if not _is_a(scalars.get(name), type(value)):
                 raise CheckpointError(f"{key}: missing, or no {type(value).__name__}, in {path}")
             setattr(opt, name, scalars[name])
         else:
@@ -189,7 +193,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         return report.mean, report.std
 
     def on_generation(r, rec):
-        history.writerow(_history_row(rec))
+        history.writerow(csv_row(astuple(rec)))
         history_fh.flush()
         if r.generation % cfg.run.checkpoint_every == 0 or r.finished:
             _save_runner_checkpoint(
@@ -206,7 +210,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
     with open(out_dir / "history.csv", "w", newline="") as history_fh:
         history = csv.writer(history_fh)
         history.writerow(HISTORY_COLUMNS)
-        history.writerows(_history_row(rec) for rec in runner.history)
+        history.writerows(csv_row(astuple(rec)) for rec in runner.history)
         history_fh.flush()
         runner.run(eval_fn, periodic_eval, on_generation)
 
@@ -284,9 +288,10 @@ def cmd_eval(args):
             env_params = _section(eval_info or {}, "env", SwingUpParams)
         except ConfigError as exc:
             raise CheckpointError(f"malformed checkpoint {args.champion}: eval.{exc}") from exc
+    trajectory = [] if args.dump_trajectory else None
     report = evaluate(
         genome, arch, env_params, args.episodes, args.seed,
-        genome_id=Path(args.champion).stem,
+        genome_id=Path(args.champion).stem, trajectory=trajectory,
     )
     out = args.out or str(Path(args.champion).with_name("eval.json"))
     write_eval_json(out, report)
@@ -295,12 +300,7 @@ def cmd_eval(args):
         f"over {report.n_episodes} episodes (base seed {report.base_seed})"
     )
     if args.dump_trajectory:
-        rows = episode_trajectory(genome, arch, env_params, args.seed)
-        with open(args.dump_trajectory, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "action", "reward"])
-            for row in rows:
-                writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+        write_csv(args.dump_trajectory, TRAJECTORY_COLUMNS, trajectory)
         print(f"trajectory written to {args.dump_trajectory}")
     return 0
 
@@ -313,16 +313,10 @@ def cmd_probe(args):
     csv_path = out_dir / f"traces_layer{args.layer}.csv"
     write_trace_csv(csv_path, probe)
     max_divergence = float(probe.divergence.max())
-    with open(out_dir / f"divergence_layer{args.layer}.json", "w") as fh:
-        json.dump(
-            {
-                "layer": args.layer,
-                "max_divergence": max_divergence,
-                "per_neuron": [float(d) for d in probe.divergence],
-            },
-            fh,
-            indent=2,
-        )
+    divergence = {"layer": args.layer, "max_divergence": max_divergence,
+                  "per_neuron": [float(d) for d in probe.divergence]}
+    write_atomically(out_dir / f"divergence_layer{args.layer}.json",
+                     lambda fh: json.dump(divergence, fh, indent=2), "w")
     print(
         f"layer {args.layer}: {probe.outputs.shape[1]} neurons, "
         f"max ordering divergence {max_divergence:.4f}"

@@ -145,8 +145,9 @@ class PopulationEvaluator:
 
 
 def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
-             n_episodes, base_seed, genome_id="genome") -> EvalReport:
-    """Score one genome over episodes seeded base_seed .. base_seed+n-1."""
+             n_episodes, base_seed, genome_id="genome", trajectory=None) -> EvalReport:
+    """Score one genome over episodes seeded base_seed .. base_seed+n-1; a
+    ``trajectory`` list gets the first episode's steps, as :func:`_scores` does."""
     n_episodes = integer("n_episodes", n_episodes)
     base_seed = integer("base_seed", base_seed)
     if n_episodes < 1:
@@ -157,7 +158,7 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
     genome = np.asarray(genome, dtype=np.float64)
     genomes = np.broadcast_to(genome, (n_episodes, genome.size))
     seeds = [base_seed + k for k in range(n_episodes)]
-    scores = [float(s) for s in _scores(arch, env_params, genomes, seeds)]
+    scores = [float(s) for s in _scores(arch, env_params, genomes, seeds, trajectory)]
     scores_arr = np.array(scores)
     return EvalReport(
         genome_id=genome_id,
@@ -167,17 +168,6 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
         n_episodes=n_episodes,
         base_seed=base_seed,
     )
-
-
-def episode_trajectory(genome, arch: Architecture, env_params: SwingUpParams, seed):
-    """Per-step (t, x, x_dot, theta, theta_dot, action, reward) of episode
-    ``seed``, a batch of one. Where every weight product has a verified
-    bucket (see :func:`~evounits.network.worker_splits`), the rewards sum
-    bitwise to that episode's score in any :func:`evaluate` that runs it."""
-    check_arch(arch)
-    trajectory = []
-    _scores(arch, env_params, genome, [seed], trajectory)
-    return trajectory
 
 
 def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
@@ -217,14 +207,22 @@ def write_eval_json(path, report: EvalReport):
     write_atomically(path, lambda fh: json.dump(asdict(report), fh, indent=2), "w")
 
 
+def csv_row(values):
+    """A row of every CSV the package writes: ints and strings as they are,
+    every other value as ``repr(float(v))``, which reads back bitwise."""
+    return [v if isinstance(v, (int, str)) else repr(float(v)) for v in values]
+
+
+def write_csv(path, header, rows):
+    """``header``, then each of ``rows`` by :func:`csv_row`, written atomically."""
+    rows = map(csv_row, [header, *rows])
+    write_atomically(path, lambda fh: csv.writer(fh).writerows(rows), "w")
+
+
 def write_trace_csv(path, probe: LayerProbe):
     """One CSV per layer: input column, then output (and state) per unit."""
     planes = [probe.outputs] if probe.states is None else [probe.outputs, probe.states]
     names = ["out", "state"][: len(planes)]
     header = ["input"] + [f"{name}_{i}" for i in range(probe.outputs.shape[1]) for name in names]
     columns = np.stack(planes, axis=-1).reshape(len(probe.inputs), -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x, row in zip(probe.inputs, columns):
-            writer.writerow([repr(float(v)) for v in (x, *row)])
+    write_csv(path, header, np.column_stack([probe.inputs, columns]))

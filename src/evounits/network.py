@@ -282,10 +282,11 @@ def save_champion(path, arch: Architecture, genome, eval_info=None):
 
 def write_atomically(path, write, mode="wb"):
     """``write(fh)`` to a synced file beside ``path``, renamed over it: a crash
-    mid-write leaves the previous file whole."""
+    mid-write leaves the previous file whole. Text is written with its line
+    endings as given, as the csv module needs."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             write(fh)
             fh.flush()
             os.fsync(fh.fileno())

@@ -13,23 +13,24 @@ from dataclasses import MISSING, asdict, field, fields
 from .errors import ConfigError
 
 
-def _is_int(v):
+def is_int(v):
+    """An integer that is not a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def integer(name, value):
     """``value`` as an int; ConfigError names ``name`` unless it is a non-bool integer."""
-    if not _is_int(value):
+    if not is_int(value):
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
     return int(value)
 
 
 # annotation: (accepts, stored as, what a value must be)
 _KINDS = {
-    int: (_is_int, int, "an integer"),
+    int: (is_int, int, "an integer"),
     float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
             and math.isfinite(v), float, "a finite number"),
-    tuple[int, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    tuple[int, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
                       lambda v: tuple(map(int, v)), "a list of integers"),
 }
 

@@ -10,7 +10,7 @@ from evounits.cartpole import (
     step_reward,
 )
 from evounits.errors import ConfigError, DomainError
-from evounits.harness import episode_trajectory, evaluate
+from evounits.harness import evaluate
 from evounits.neural_unit import NeuronMode
 from rollout_oracle import FreezingSwingUp
 
@@ -259,10 +259,10 @@ def constant_policy_genome(value, sizes=(5, 4, 1)):
 class TestRunEpisode:
     def test_reward_ceiling(self):
         genome, arch = constant_policy_genome(0.0)
-        report = evaluate(genome, arch, SwingUpParams(), 1, 5)
+        traj = []
+        report = evaluate(genome, arch, SwingUpParams(), 1, 5, trajectory=traj)
         assert 0.0 <= report.scores[0] <= 1000.0
-        steps = len(episode_trajectory(genome, arch, SwingUpParams(), 5))
-        assert steps <= 1000
+        assert len(traj) <= 1000
 
     def test_zero_policy_scores_nothing(self):
         genome, arch = constant_policy_genome(0.0)
@@ -271,16 +271,16 @@ class TestRunEpisode:
 
     def test_bitwise_repeatable(self):
         genome, arch = constant_policy_genome(0.3)
-        r1 = evaluate(genome, arch, SwingUpParams(), 1, 8)
-        r2 = evaluate(genome, arch, SwingUpParams(), 1, 8)
+        t1, t2 = [], []
+        r1 = evaluate(genome, arch, SwingUpParams(), 1, 8, trajectory=t1)
+        r2 = evaluate(genome, arch, SwingUpParams(), 1, 8, trajectory=t2)
         assert r1.scores == r2.scores
-        t1 = episode_trajectory(genome, arch, SwingUpParams(), 8)
-        t2 = episode_trajectory(genome, arch, SwingUpParams(), 8)
-        assert len(t1) == len(t2) < 1000  # the constant push runs off the rail
+        assert t1 == t2 and len(t1) < 1000  # the constant push runs off the rail
 
     def test_trajectory_recording(self):
         genome, arch = constant_policy_genome(0.5)
-        traj = episode_trajectory(genome, arch, SwingUpParams(max_steps=20), 2)
+        traj = []
+        evaluate(genome, arch, SwingUpParams(max_steps=20), 1, 2, trajectory=traj)
         assert [row[0] for row in traj] == list(range(1, 21))
         assert len(traj[0]) == 7  # t, state(4), action, reward
         assert all(row[5] == 0.5 for row in traj)

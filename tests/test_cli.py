@@ -12,8 +12,9 @@ import yaml
 import rollout_oracle as oracle
 from evounits.architecture import Architecture
 from evounits.cartpole import SwingUpParams
+from evounits import cli, harness
 from evounits.cli import main
-from evounits.config import from_dict, load_config
+from evounits.config import from_dict, from_preset, load_config
 from evounits.genome import initial_genome
 from evounits.harness import evaluate
 from evounits.network import load_champion, save_champion
@@ -200,6 +201,9 @@ class TestTrain:
         ("env.dt", float("nan"), "env.dt: must be a finite number"),
         ("optimizer.seed", 3, "optimizer.seed: "),
         ("seeds", None, "seeds: must be a mapping"),
+        ("schema_version", 2, "schema_version: unsupported version 2"),
+        ("preset", "cartpole-nope", "preset: unknown preset 'cartpole-nope'"),
+        ("bogus", 1, "config: unknown top-level fields ['bogus']"),
     ])
     def test_bad_value_named_before_compute(self, tmp_path, capsys, field, value,
                                             message):
@@ -209,6 +213,33 @@ class TestTrain:
                      "--quiet"]) == 1
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "- 5\n- 1\n"], ids=["missing", "list"])
+    def test_unreadable_config_named_before_compute(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
+        assert f"config file {cfg}: " in capsys.readouterr().err
+
+    def test_config_or_preset_required(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["train", "--out-dir", str(out), "--quiet"]) == 1
+        assert not out.exists()
+        assert "provide --config or --preset" in capsys.readouterr().err
+
+    def test_preset_with_workers_override(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "_run_training",
+                            lambda cfg, out_dir, quiet: runs.append(cfg) or 0)
+        assert main(["train", "--preset", "cartpole-simple", "--workers", "2",
+                     "--out-dir", str(tmp_path / "x")]) == 0
+        [cfg] = runs
+        assert cfg.name == "cartpole-simple" and cfg.run.workers == 2
+        assert cfg == from_preset("cartpole-simple", {"run": {"workers": 2}})
 
     def test_negative_seed_override_rejected_before_compute(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml")
@@ -322,16 +353,20 @@ class TestEval:
         assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward"
         assert len(lines) > 1
 
-    def test_trajectory_is_episode_seed_of_the_eval(self, tmp_path):
-        # The dump is a one-row rollout of episode --seed, and its rewards
-        # sum bitwise to that episode's score in the three-episode eval.
-        # Episode 22 runs off the rail early.
+    def test_trajectory_is_episode_seed_of_the_eval(self, tmp_path, monkeypatch):
+        # The dump is episode --seed as the eval scored it, in its one
+        # rollout, so its rewards sum bitwise to the report's first score.
+        # Episode 22 runs off the rail early, while the other two go on.
         out, traj = tmp_path / "r.json", tmp_path / "traj.csv"
         env = SwingUpParams(max_steps=150, reset_noise=0.5)
         cfg = write_config(tmp_path / "env.yaml", env={"max_steps": 150, "reset_noise": 0.5})
+        rollouts, scores = [], harness._scores
+        monkeypatch.setattr(harness, "_scores",
+                            lambda *args: rollouts.append(args[3]) or scores(*args))
         assert main(["eval", "--champion", str(REFERENCE_CHAMPION), "--episodes", "3",
                      "--seed", "22", "--config", str(cfg), "--out", str(out),
                      "--dump-trajectory", str(traj)]) == 0
+        assert rollouts == [[22, 23, 24]]
         with open(traj) as fh:
             rows = list(csv.DictReader(fh))
         total = 0.0
@@ -341,6 +376,7 @@ class TestEval:
         arch, genome, _ = load_champion(REFERENCE_CHAMPION)
         _, lengths = oracle.evaluation_scores(genome, arch, env, 3, 22)
         assert len(rows) == lengths[0][0] < env.max_steps
+        assert [int(row["t"]) for row in rows] == list(range(1, len(rows) + 1))
 
 
 class TestProbe:
@@ -367,6 +403,52 @@ class TestProbe:
                      "--out-dir", str(out)]) == 1
         assert not out.exists()
         assert "neuron_mode" in capsys.readouterr().err
+
+
+def crash_after_rows(monkeypatch, rows=3):
+    """The next CSV write raises after ``rows`` rows, as on a full disk."""
+    written, csv_row = [], harness.csv_row
+
+    def crashing_row(values):
+        if len(written) == rows:
+            raise OSError("disk full")
+        written.append(values)
+        return csv_row(values)
+
+    monkeypatch.setattr(harness, "csv_row", crashing_row)
+
+
+def crash_in_json_dump(monkeypatch):
+    """The next ``json.dump`` raises after a partial object, as on a full disk."""
+    def crashing_dump(obj, fh, **kwargs):
+        fh.write('{"layer": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crashing_dump)
+
+
+class TestOutputsAreAtomic:
+    # Every output but the streamed history.csv goes to a file beside it,
+    # renamed over it once whole.
+    @pytest.mark.parametrize("argv, name, crash", [
+        (["eval", "--episodes", "2", "--out", "{out}/e.json", "--dump-trajectory",
+          "{out}/traj.csv"], "traj.csv", crash_after_rows),
+        (["probe", "--layer", "2", "--out-dir", "{out}"], "traces_layer2.csv",
+         crash_after_rows),
+        (["probe", "--layer", "2", "--out-dir", "{out}"], "divergence_layer2.json",
+         crash_in_json_dump),
+    ], ids=["trajectory-csv", "traces-csv", "divergence-json"])
+    def test_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch, argv, name, crash):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("previous\n")
+        crash(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            main([arg.format(out=out) for arg in argv] +
+                 ["--champion", str(REFERENCE_CHAMPION)])
+        monkeypatch.undo()
+        assert (out / name).read_text() == "previous\n"
+        assert not list(out.glob("*.tmp"))
 
 
 def assert_resume_matches_uninterrupted(trained_run, tmp_path, ckpt_name):
@@ -509,6 +591,10 @@ class TestResume:
         pytest.param(2, lambda m: m.pop("meta"), "meta", id="no-meta"),
         pytest.param(2, lambda m: m["meta"].pop("generation"), "generation",
                      id="no-generation"),
+        pytest.param(2, lambda m: m["meta"].update(generation=True),
+                     "generation: missing, or no int", id="generation-bool"),
+        pytest.param(2, lambda m: m["meta"]["optimizer"].update(generation=True),
+                     "optimizer.generation: missing, or no int", id="cma-generation-bool"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",
                      id="no-rng"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].update(sigma="0.5"),
@@ -532,6 +618,8 @@ class TestResume:
                      "optimizer.parents", id="parents-over-elites"),
         pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=1.0),
                      "optimizer.parents", id="parents-float"),
+        pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=True),
+                     "optimizer.parents: missing, or no int", id="parents-bool"),
         pytest.param(1, lambda m: m.update({"optimizer.elites": np.tile(
             m["optimizer.elites"], (2, 1))}), "optimizer.elites", id="elites-extra-row"),
         pytest.param(1, lambda m: m.pop("optimizer.elites"), "optimizer.elites",

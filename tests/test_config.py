@@ -62,6 +62,22 @@ def test_unknown_section_field_named(section, field):
         from_preset("cartpole-recurrent", {section: {field: 7}})
 
 
+def test_missing_layer_sizes_named():
+    # No preset fills the field in.
+    with pytest.raises(ConfigError, match="^arch.layer_sizes: missing"):
+        from_dict({"arch": {"neuron_mode": "recurrent"}})
+
+
+@pytest.mark.parametrize("sizes, seed, message", [
+    ((5,), 0, "^layer_sizes: need at least input and output layers"),
+    ((5, 0, 1), 0, "^layer_sizes: every layer size must be >= 1"),
+    ((5, 4, 1), 2**64, "^weight_seed: must fit in an unsigned 64-bit integer"),
+], ids=["one-layer", "zero-size", "seed-2**64"])
+def test_bad_architecture_named(sizes, seed, message):
+    with pytest.raises(ConfigError, match=message):
+        Architecture(sizes, NeuronMode.RECURRENT, weight_seed=seed)
+
+
 def test_negative_master_seed_named():
     with pytest.raises(ConfigError, match="seeds.master_seed"):
         from_preset("cartpole-recurrent", {"seeds": {"master_seed": -1}})

@@ -10,7 +10,6 @@ from evounits.errors import ConfigError
 from evounits.genome import decode, initial_genome
 from evounits.harness import (
     PopulationEvaluator,
-    episode_trajectory,
     evaluate,
     evaluate_population,
     probe_layer,
@@ -53,7 +52,8 @@ class TestEvaluate:
         g = np.random.default_rng(3).normal(size=count_parameters(a))
         report = evaluate(g, a, ENV, 3, 7)
         for k, score in enumerate(report.scores):
-            traj = episode_trajectory(g, a, ENV, 7 + k)
+            traj = []
+            evaluate(g, a, ENV, 1, 7 + k, trajectory=traj)
             assert score == sum(row[-1] for row in traj)
 
     def test_zero_genome_scores_nothing(self):
@@ -84,8 +84,10 @@ class TestArchMustFitTask:
             evaluate(initial_genome(a), a, ENV, 1, 0)
         with pytest.raises(ConfigError, match="arch.layer_sizes"):
             evaluate_population(a, ENV, np.zeros((2, count_parameters(a))), [0])
+        traj = []
         with pytest.raises(ConfigError, match="arch.layer_sizes"):
-            episode_trajectory(initial_genome(a), a, ENV, 0)
+            evaluate(initial_genome(a), a, ENV, 1, 0, trajectory=traj)
+        assert traj == []
 
     def test_probes_accept_any_io(self):
         a = rec_arch((4, 8, 3))
@@ -136,6 +138,17 @@ class TestPopulationEvaluator:
             serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
             pooled = evaluate_population(a, env, genomes, [3, 4], workers=workers)
             assert np.array_equal(pooled, serial), (n, workers)
+
+    def test_two_workers_plain_tanh(self):
+        # Plain-tanh candidates carry their own weights, so there are no
+        # frozen-weight products to probe and the split is even.
+        a = Architecture((5, 8, 1), NeuronMode.PLAIN_TANH, weight_seed=1)
+        env = SwingUpParams(max_steps=200, reset_noise=1.0)
+        genomes = np.random.default_rng(10).normal(0, 1, (7, count_parameters(a)))
+        serial = evaluate_population(a, env, genomes, [3, 4], workers=1)
+        pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
+        assert np.array_equal(pooled, serial)
+        assert network.worker_splits(a, 7, 2) == [0, 3, 7]
 
     def test_two_workers_without_buckets(self, monkeypatch):
         # Where no bucket verifies, each row runs at its place in its

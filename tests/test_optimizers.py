@@ -302,6 +302,30 @@ class TestCmaEs:
             assert np.array_equal(a.cov, a.cov.T)
             assert a.sigma > 0
 
+    def test_eigenvalue_floor_repairs_a_singular_covariance(self, caplog):
+        # A rank-3 C at n = 20: its smallest eigenvalue reads -4.6e-15.
+        es = CmaEs(np.zeros(20), sigma0=0.5, popsize=12, seed=0)
+        factor = np.random.default_rng(0).normal(size=(20, 3))
+        es.cov = factor @ factor.T
+        evals = np.linalg.eigh(es.cov)[0]  # as ask decomposes it
+        floor = evals.max() * 1e-14 + 1e-300
+        assert evals[0] < 0
+        with caplog.at_level("WARNING", logger="evounits.optimizers"):
+            x = es.ask()
+        assert "covariance eigenvalue floor hit" in caplog.text
+        # ask samples with every axis scale at least the floor's root; the
+        # rebuilt C holds those eigenvalues up to eigh's rounding, so it is
+        # positive definite.
+        assert np.all(es._pending[2] >= np.sqrt(floor))
+        eps = 20 * np.finfo(float).eps * evals.max()
+        assert np.linalg.eigvalsh(es.cov)[0] >= floor - eps
+        np.linalg.cholesky(es.cov)
+        assert np.all(np.isfinite(x))
+        # The rebuilt C is symmetric only to rounding; tell leaves it exactly
+        # symmetric again, so the next checkpoint can save its triangle.
+        es.tell(sphere(x))
+        assert np.array_equal(es.cov, es.cov.T)
+
     def test_tell_before_ask_rejected(self):
         es = CmaEs(np.zeros(3), seed=0)
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ import rollout_oracle as oracle
 from evounits import network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
-from evounits.harness import episode_trajectory, evaluate, evaluate_population
+from evounits.harness import evaluate, evaluate_population
 from evounits.network import load_champion
 from evounits.neural_unit import NeuronMode
 
@@ -145,7 +145,8 @@ def test_episode_score_is_independent_of_its_batch():
             (40, 0), (64, 7), (65, 0), (127, 0))
     scores = {(n, base): evaluate(genome, arch, env, n, base).scores[17 - base]
               for n, base in runs}
-    total = 0.0
-    for row in episode_trajectory(genome, arch, env, 17):
+    total, trajectory = 0.0, []
+    evaluate(genome, arch, env, 1, 17, trajectory=trajectory)
+    for row in trajectory:
         total += row[-1]
     assert scores == dict.fromkeys(scores, total)
