@@ -49,6 +49,13 @@ def _is_a(value, kind):
     return is_int(value) if kind is int else isinstance(value, kind)
 
 
+def _is_history_row(row):
+    """A saved GenerationRecord: an int generation, a stage and six numbers."""
+    return (isinstance(row, list) and len(row) == len(HISTORY_COLUMNS) and is_int(row[0])
+            and isinstance(row[1], str)
+            and all(is_int(v) or isinstance(v, float) for v in row[2:]))
+
+
 def _save_runner_checkpoint(path, cfg: ExperimentConfig, out_dir, runner):
     """Write the run as one ``.npz``: its arrays as members, the rest as the
     UTF-8 JSON member ``meta``; a symmetric matrix keeps its upper triangle."""
@@ -97,6 +104,10 @@ def _load_runner_checkpoint(path):
     for name, kind in META_TYPES.items():
         if not _is_a(meta.get(name), kind):
             raise CheckpointError(f"{name}: missing, or no {kind.__name__}, in {path}")
+    bad = [i for i, row in enumerate(meta["history"]) if not _is_history_row(row)]
+    if bad:
+        raise CheckpointError(f"history: row {bad[0]} is not an int generation, a stage "
+                              f"and six numbers, in {path}")
     cfg = from_dict(meta["config"])
     dim = count_parameters(cfg.architecture())
 
@@ -110,11 +121,9 @@ def _load_runner_checkpoint(path):
     runner = PipelineRunner(cfg.pipeline(), dim, np.zeros(dim))
     try:
         runner.start_stage(meta["stage"], np.zeros(dim))
-        runner.history = [GenerationRecord(*row) for row in meta["history"]]
     except DomainError as exc:  # it names the stage
         raise CheckpointError(f"{exc} in {path}") from exc
-    except TypeError as exc:
-        raise CheckpointError(f"history: malformed in {path}: {exc}") from exc
+    runner.history = [GenerationRecord(*row) for row in meta["history"]]
     for name in RUNNER_ARRAYS:
         setattr(runner, name, array(name, (dim,)))
     for name in RUNNER_FIELDS:

@@ -62,7 +62,7 @@ def _probe_buckets(fan_in, fan_out, sizes):
     (PRODUCT_ROWS, fan_in) matrix and row order; the reordered matrix must
     give the reordered product bitwise. Each size b not yet rejected is
     tried on the first b rows of that order, sorted and copied to the top
-    of a buffer as the policy does, and must match the full product bitwise.
+    of a buffer, as live rows fill a bucket's top, and must match bitwise.
     """
     rng = np.random.default_rng(PROBE_SEED)
     w_t = rng.normal(size=(fan_out, fan_in)).T
@@ -141,10 +141,11 @@ class BatchedPolicy:
     neuron state zero, and ``keep`` drops rows whose episode has ended, so
     ``forward`` only ever computes running episodes.
     ``rows`` holds the batch index of each live row. Every weight product
-    follows one rule (see :meth:`_weight_product`), with the table that
-    :func:`bucket_table` probes for B. A row's outputs depend on its own
-    genome and inputs alone, and on its index modulo PRODUCT_ROWS only
-    where some product has no verified bucket (see :func:`worker_splits`).
+    multiplies a layer plane's rows where they are, by one rule (see
+    :meth:`_weight_product`), with the table that :func:`bucket_table`
+    probes for B. A row's outputs depend on its own genome and inputs
+    alone, and on its index modulo PRODUCT_ROWS only where some product
+    has no verified bucket (see :func:`worker_splits`).
     """
 
     def __init__(self, arch: Architecture, genomes):
@@ -159,18 +160,18 @@ class BatchedPolicy:
         self.weights = sample_weights(arch)
         # Each product's bucket_table for this batch, the first time it is needed.
         self._tables = [None] * len(self.weights)
-        # Live-row inputs of each weight product (see _weight_product).
-        self._product_in = [np.zeros((PRODUCT_ROWS, n)) for n in arch.layer_sizes[:-1]]
         # Each unit coefficient as one contiguous plane, as the layer steps
         # expect: (B, n, 2, 3) to (2, 3, B, n), or (B, n, 2) to (2, B, n).
         k = 2 if self.mode is NeuronMode.RECURRENT else 1
         self.params = [np.array(np.moveaxis(p, range(2, 2 + k), range(k)), order="C")
                        for p in decode(genomes, arch)]
         # Per layer, plane 0 holds the unit outputs of the live rows [:m]
-        # and, for recurrent units, plane 1 their states. Products and unit
-        # steps share _scratch.
-        self.planes = [np.zeros((k, self.batch, n)) for n in arch.layer_sizes]
-        self._scratch = np.empty((2, self.batch * max(arch.layer_sizes)))
+        # and, for recurrent units, plane 1 their states. The rows run to
+        # whole PRODUCT_ROWS-row slices, so that every bucket lies on the
+        # plane. Products and unit steps share _scratch.
+        rows = -(-self.batch // PRODUCT_ROWS) * PRODUCT_ROWS
+        self.planes = [np.zeros((k, rows, n)) for n in arch.layer_sizes]
+        self._scratch = np.zeros((2, rows * max(arch.layer_sizes)))
 
     def keep(self, order):
         """Keep the live rows ``order`` (integer indices into the live rows),
@@ -192,45 +193,40 @@ class BatchedPolicy:
         for plane in self.planes:
             plane[1:, moved] = plane[1:, src]
 
-    def _weight_product(self, k, x):
-        """x @ W_k.T for the live rows, each row bitwise as in a
-        PRODUCT_ROWS-row product, written into scratch row 0.
+    def _weight_product(self, k, m):
+        """Layer k's outputs of the m live rows times W_k.T, each row bitwise
+        as in a PRODUCT_ROWS-row product, written into scratch row 0.
 
-        The live rows run as direct PRODUCT_ROWS-row slices, and the r rows
-        left over run once, at the smallest verified row count that holds
-        them (see :func:`bucket_table`): in place where that count is r,
-        else padded in ``_product_in``. An all-live batch of whole slices
-        needs no table. Where no row count verifies, each PRODUCT_ROWS-row
-        block of the batch runs at PRODUCT_ROWS rows with its live rows at
-        their own places.
+        Each product multiplies the plane's rows where they are: the live
+        rows as direct PRODUCT_ROWS-row slices, then the r rows left over
+        once, at the smallest verified row count that holds them (see
+        :func:`bucket_table`), the plane's rows past the live ones filling
+        that count. An all-live batch of whole slices needs no table. Where
+        no row count verifies, each PRODUCT_ROWS-row block of the batch runs
+        at PRODUCT_ROWS rows with its live rows at their own places.
         """
         w_t = self.weights[k].T
-        m = x.shape[0]
-        out = self._scratch[0, : m * w_t.shape[1]].reshape(m, -1)
-        buf = self._product_in[k]
-        whole = m - m % PRODUCT_ROWS
-        if whole < m or m < self.batch:
+        x = self.planes[k][0]
+        out = self._scratch[0, : len(x) * w_t.shape[1]].reshape(len(x), -1)
+        end = m - m % PRODUCT_ROWS
+        if end < m or m < self.batch:
             table = self._tables[k]
             if table is None:
                 table = self._tables[k] = bucket_table(*w_t.shape, self.batch)
             if table[1] == PRODUCT_ROWS:
+                buf = self._scratch[1, : PRODUCT_ROWS * len(w_t)].reshape(PRODUCT_ROWS, -1)
                 block_of = self.rows // PRODUCT_ROWS
                 for c in np.unique(block_of):
-                    sel = block_of == c
+                    sel = np.flatnonzero(block_of == c)
                     local = self.rows[sel] - c * PRODUCT_ROWS
                     buf[local] = x[sel]
                     out[sel] = (buf @ w_t)[local]
-                return out
-        for i in range(0, whole, PRODUCT_ROWS):
-            np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])
-        if whole < m:
-            r, b = m - whole, table[m - whole]
-            if b == r:
-                np.matmul(x[whole:], w_t, out=out[whole:])
-            else:
-                buf[:r] = x[whole:]
-                out[whole:] = (buf[:b] @ w_t)[:r]
-        return out
+                return out[:m]
+            end += table[m - end] if end < m else 0
+        for i in range(0, end, PRODUCT_ROWS):
+            j = min(i + PRODUCT_ROWS, end)
+            np.matmul(x[i:j], w_t, out=out[i:j])
+        return out[:m]
 
     def forward(self, obs):
         """obs: (live rows, obs_dim) -> new actions (live rows, action_dim)."""
@@ -240,7 +236,7 @@ class BatchedPolicy:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
             return x
         for k in range(len(self.arch.layer_sizes)):
-            x = self.step_layer(k, x if k == 0 else self._weight_product(k - 1, x))[0]
+            x = self.step_layer(k, x if k == 0 else self._weight_product(k - 1, len(x)))[0]
         return x.copy()
 
     def step_layer(self, k, pre):
@@ -260,7 +256,10 @@ def _arch_from_dict(d: dict) -> Architecture:
     kinds = d.get("output_kinds", ())
     if any(k != "tanh" for k in kinds):
         raise CheckpointError(f"arch.output_kinds: only tanh outputs exist, got {kinds}")
-    return Architecture(d["layer_sizes"], d["neuron_mode"], d["weight_seed"], d["weight_std"])
+    try:
+        return Architecture(d["layer_sizes"], d["neuron_mode"], d["weight_seed"], d["weight_std"])
+    except KeyError as exc:
+        raise ConfigError(f"{exc.args[0]}: missing") from exc
 
 
 def save_champion(path, arch: Architecture, genome, eval_info=None):
@@ -307,11 +306,10 @@ def load_champion(path):
         raise CheckpointError(f"cannot decode checkpoint {path}: {exc}") from exc
     try:
         if payload["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint schema {payload['schema_version']}"
-            )
+            raise CheckpointError(f"schema_version: {payload['schema_version']!r} in {path}; "
+                                  f"only version {CHECKPOINT_SCHEMA_VERSION} loads")
         if payload.get("kind") != "champion":
-            raise CheckpointError(f"not a champion checkpoint: {path}")
+            raise CheckpointError(f"kind: {payload.get('kind')!r} in {path} is no champion")
         arch = _arch_from_dict(payload["arch"])
         genome = np.asarray(payload["genome"], dtype=np.float64)
         recorded = payload["weight_checksum"]

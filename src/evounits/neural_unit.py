@@ -32,14 +32,15 @@ def layer_step_recurrent(values, x, out, tmp):
     values: (2, 3, ..., n), each coefficient as one contiguous plane;
     x and the scratch ``tmp``: (..., n); ``out``: (2, ..., n) holds
     [output, state] and receives [output, new state]. Each plane reads the
-    state before it writes that plane.
+    state before it writes that plane, and is squashed on its own, so that
+    a view of the first rows of larger planes runs as contiguous planes.
     """
     for i, plane in enumerate(out):
         np.multiply(values[i, 1], out[1], out=tmp)
         np.multiply(values[i, 0], x, out=plane)
         plane += tmp
         plane += values[i, 2]
-    np.tanh(out, out=out)
+        np.tanh(plane, out=plane)
 
 
 def layer_step_simple(values, x, out, tmp=None):

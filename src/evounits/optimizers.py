@@ -22,9 +22,9 @@ log = logging.getLogger(__name__)
 def _check_fitnesses(fitnesses, expected):
     f = np.asarray(fitnesses, dtype=np.float64)
     if f.shape != (expected,):
-        raise DomainError(f"expected {expected} fitnesses, got shape {f.shape}")
+        raise DomainError(f"fitnesses: expected {expected}, got shape {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise DomainError("non-finite fitness received; evaluator bug")
+        raise DomainError("fitnesses: non-finite value received; evaluator bug")
     return f
 
 
@@ -127,15 +127,19 @@ class CmaEs:
         self.generation = 0
         self.rng = np.random.default_rng(seed)
         self._pending = None
+        self._floor_logged = False
 
     def _update_eigensystem(self):
-        """Eigenbasis and axis scales (square-rooted eigenvalues) of C."""
+        """Eigenbasis and axis scales (square-rooted eigenvalues) of C. A
+        repaired C may fall under the floor again by rounding, so only the
+        first repair is logged."""
         evals, basis = np.linalg.eigh(self.cov)
         floor = max(evals.max(), 0.0) * 1e-14 + 1e-300
         if evals[0] < floor:
-            log.warning(
-                "covariance eigenvalue floor hit (min %.3e); repairing", evals[0]
-            )
+            if not self._floor_logged:
+                log.warning("covariance eigenvalue floor hit (min %.3e); repairing, "
+                            "logged once per CMA-ES stage", evals[0])
+                self._floor_logged = True
             evals = np.maximum(evals, floor)
             self.cov = (basis * evals) @ basis.T
         return basis, np.sqrt(evals)

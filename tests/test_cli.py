@@ -204,6 +204,8 @@ class TestTrain:
         ("schema_version", 2, "schema_version: unsupported version 2"),
         ("preset", "cartpole-nope", "preset: unknown preset 'cartpole-nope'"),
         ("bogus", 1, "config: unknown top-level fields ['bogus']"),
+        ("seeds.weight_seed", 2**64, "seeds.weight_seed: must fit in an unsigned 64-bit"),
+        ("optimizer.optimizer_kind", "ga", "optimizer.optimizer_kind: unknown kind 'ga'"),
     ])
     def test_bad_value_named_before_compute(self, tmp_path, capsys, field, value,
                                             message):
@@ -612,6 +614,12 @@ class TestResume:
                      id="foreign-stage"),
         pytest.param(2, lambda m: m["meta"].update(history=[[0, "ga"]]), "history: ",
                      id="short-history-row"),
+        pytest.param(2, lambda m: m["meta"]["history"][1].__setitem__(0, 0.5),
+                     "history: row 1", id="history-float-generation"),
+        pytest.param(2, lambda m: m["meta"]["history"][0].__setitem__(slice(2, None), [None] * 6),
+                     "history: row 0", id="history-nulls"),
+        pytest.param(2, lambda m: m["meta"]["history"][1].__setitem__(1, ["ga"]),
+                     "history: row 1", id="history-list-stage"),
         pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=0),
                      "optimizer.parents", id="zero-parents"),
         pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=2),

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,15 @@ from rollout_oracle import FullBatchPolicy
 
 REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
     "reference_champion.json"
+
+
+def edited_reference(tmp_path, edit):
+    """A copy of the reference champion file after ``edit`` of its JSON."""
+    payload = json.loads(REFERENCE_CHAMPION.read_text())
+    edit(payload)
+    path = tmp_path / "champ.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
 def rec_arch(sizes=(5, 128, 64, 1), seed=1):
@@ -253,22 +263,26 @@ class TestBatchedPolicy:
             for i, pol in enumerate(kept):
                 np.testing.assert_allclose(batch_out[i], pol.forward(obs)[0], atol=1e-12)
 
-    def test_forward_allocates_no_layer_plane(self):
-        # Unit steps and products write into the policy's own buffers, in
-        # both unit modes; the old paths allocated (rows, 128) temporaries.
-        for a in (rec_arch(), simple_arch((5, 128, 64, 1))):
-            rng = np.random.default_rng(15)
-            net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
-            obs = rng.normal(size=(512, 5))
-            net.forward(obs)  # probes the product buckets once per process
-            tracemalloc.start()
-            try:
-                action = net.forward(obs)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert action.shape == (512, 1)
-            assert peak < 512 * 128 * 8, a.neuron_mode  # one (512, 128) float64 plane
+    @pytest.mark.parametrize("mode", [NeuronMode.RECURRENT, NeuronMode.SIMPLE])
+    @pytest.mark.parametrize("live", [512, 300, 100, 1])
+    def test_forward_allocates_no_layer_plane(self, mode, live):
+        # Unit steps and every product, the leftover bucket too, write into
+        # the policy's own planes and scratch: a warm forward allocates the
+        # action it returns and little else, at any live row count.
+        a = Architecture((5, 128, 64, 1), mode, weight_seed=1)
+        rng = np.random.default_rng(15)
+        net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
+        net.keep(np.arange(live))
+        obs = rng.normal(size=(live, 5))
+        net.forward(obs)  # probes the product buckets once per process
+        tracemalloc.start()
+        try:
+            action = net.forward(obs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert action.shape == (live, 1)
+        assert peak <= action.nbytes + 16 * 1024
 
     def test_keep_rejects_boolean_mask(self):
         # A mask would be read as row indices 1 and 0.
@@ -280,8 +294,6 @@ class TestBatchedPolicy:
 
 class TestChampionCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        import json
-
         a = rec_arch((3, 4, 1), seed=5)
         genome = np.random.default_rng(0).normal(size=count_parameters(a))
         path = tmp_path / "champ.json"
@@ -296,8 +308,6 @@ class TestChampionCheckpoint:
         assert again.read_bytes() == path.read_bytes()
 
     def test_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
-        import json
-
         from evounits import network
 
         a = rec_arch((3, 4, 1), seed=5)
@@ -324,8 +334,6 @@ class TestChampionCheckpoint:
             load_champion(path)
 
     def test_checksum_mismatch_rejected(self, tmp_path):
-        import json
-
         a = rec_arch((3, 4, 1), seed=5)
         path = tmp_path / "champ.json"
         save_champion(path, a, initial_genome(a))
@@ -336,8 +344,6 @@ class TestChampionCheckpoint:
             load_champion(path)
 
     def test_genome_length_mismatch_rejected(self, tmp_path):
-        import json
-
         a = rec_arch((3, 4, 1), seed=5)
         path = tmp_path / "champ.json"
         save_champion(path, a, initial_genome(a))
@@ -357,20 +363,24 @@ class TestChampionCheckpoint:
             load_champion(path)
 
     def test_eval_not_a_mapping_rejected(self, tmp_path):
-        import json
-
-        payload = json.loads(REFERENCE_CHAMPION.read_text())
-        payload["eval"] = [930.6]
-        path = tmp_path / "champ.json"
-        path.write_text(json.dumps(payload))
+        path = edited_reference(tmp_path, lambda p: p.update(eval=[930.6]))
         with pytest.raises(CheckpointError, match="eval: must be a mapping"):
             load_champion(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(schema_version=2), "schema_version: "),
+        (lambda p: p.update(kind="runner"), "kind: "),
+        (lambda p: p["arch"].pop("weight_std"), "arch.weight_std: missing"),
+    ], ids=["schema-2", "foreign-kind", "no-weight-std"])
+    def test_refused_field_named_with_path(self, tmp_path, edit, message):
+        path = edited_reference(tmp_path, edit)
+        with pytest.raises(CheckpointError) as exc:
+            load_champion(path)
+        assert message in str(exc.value) and str(path) in str(exc.value)
 
     def older_file(self, tmp_path, kinds):
         """A champion file in the older format, which lists one output
         nonlinearity per output."""
-        import json
-
         a = rec_arch((3, 4, 1), seed=5)
         genome = np.random.default_rng(0).normal(size=count_parameters(a))
         path = tmp_path / "champ.json"
@@ -397,11 +407,6 @@ class TestChampionCheckpoint:
         ("layer_sizes", [5, 128.9, 64, 1]), ("weight_seed", 1.0), ("weight_std", True),
     ])
     def test_mistyped_arch_field_named(self, tmp_path, field, value):
-        import json
-
-        payload = json.loads(REFERENCE_CHAMPION.read_text())
-        payload["arch"][field] = value
-        path = tmp_path / "champ.json"
-        path.write_text(json.dumps(payload))
+        path = edited_reference(tmp_path, lambda p: p["arch"].update({field: value}))
         with pytest.raises(CheckpointError, match=rf"arch\.{field}: must be"):
             load_champion(path)

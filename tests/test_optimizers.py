@@ -127,6 +127,30 @@ def test_non_integer_argument_named(make, arg, value):
     make(**{arg: np.int64(2)})
 
 
+OUT_OF_RANGE_ARGS = [
+    (_evaluator, "episodes_per_candidate", 0),
+    (partial(GeneticAlgorithm, np.zeros(3)), "elite_frac", 1.0),
+    (partial(CmaEs, np.zeros(3)), "sigma0", 0),
+    (partial(PipelineRunner, PipelineConfig(total_generations=2, ga_generations=1), 3), "x0",
+     np.zeros(4)),
+]
+
+
+@pytest.mark.parametrize("make, arg, value", OUT_OF_RANGE_ARGS,
+                         ids=[f"{m.func.__name__}-{a}" for m, a, _ in OUT_OF_RANGE_ARGS])
+def test_out_of_range_argument_named(make, arg, value):
+    with pytest.raises(ConfigError, match=f"^{arg}: "):
+        make(**{arg: value})
+
+
+@pytest.mark.parametrize("make", [GeneticAlgorithm, CmaEs, OpenEs])
+def test_wrong_fitness_count_named(make):
+    opt = make(np.zeros(3), popsize=8, seed=0)
+    opt.ask()
+    with pytest.raises(DomainError, match=r"^fitnesses: expected 8, got shape \(7,\)"):
+        opt.tell(np.zeros(7))
+
+
 class TestGeneticAlgorithm:
     def test_population_shape(self):
         ga = GeneticAlgorithm(np.zeros(7), popsize=32, seed=0)
@@ -325,6 +349,12 @@ class TestCmaEs:
         # symmetric again, so the next checkpoint can save its triangle.
         es.tell(sphere(x))
         assert np.array_equal(es.cov, es.cov.T)
+        # Its smallest eigenvalue sits just under the floor by rounding, so
+        # each later ask repairs again; the warning is logged once.
+        with caplog.at_level("WARNING", logger="evounits.optimizers"):
+            for _ in range(6):
+                es.tell(sphere(es.ask()))
+        assert caplog.text.count("covariance eigenvalue floor hit") == 1
 
     def test_tell_before_ask_rejected(self):
         es = CmaEs(np.zeros(3), seed=0)
@@ -465,6 +495,11 @@ class TestOpenEs:
         with pytest.raises(DomainError):
             es.tell([np.nan, 0, 0, 0])
 
+    def test_tell_before_ask_rejected(self):
+        es = OpenEs(np.zeros(3), popsize=4, seed=0)
+        with pytest.raises(DomainError, match=r"tell\(\) before ask\(\)"):
+            es.tell(np.zeros(4))
+
 
 def _deterministic_eval(candidates, generation):
     return sphere(candidates)
@@ -483,6 +518,9 @@ class TestPipeline:
         cfg = self.cfg(total_generations=10, ga_generations=10)
         result = PipelineRunner(cfg, 5, np.full(5, 2.0)).run(_deterministic_eval)
         assert all(rec.stage == "ga" for rec in result.history)
+        assert len(result.history) == 10
+        with pytest.raises(DomainError, match="already finished"):
+            result.step(_deterministic_eval)
         assert len(result.history) == 10
 
     def test_history_bookkeeping(self):
