@@ -2,23 +2,12 @@
 
 from .architecture import Architecture, count_parameters
 from .cartpole import BatchedSwingUp, SwingUpParams
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DomainError,
-    EvaluationError,
-    EvoUnitsError,
-)
+from .errors import CheckpointError, ConfigError, DomainError, EvaluationError, EvoUnitsError
 from .genome import decode, initial_genome
 from .harness import EvalReport, LayerProbe, evaluate, probe_layer
-from .network import BatchedPolicy, load_champion, save_champion
+from .network import BatchedPolicy
 from .neural_unit import NeuronMode
-from .optimizers import (
-    CmaEs,
-    GeneticAlgorithm,
-    OpenEs,
-    PipelineConfig,
-    PipelineRunner,
-)
+from .optimizers import CmaEs, GeneticAlgorithm, OpenEs, PipelineConfig, PipelineRunner
+from .rundir import load_champion, save_champion
 
 __version__ = "0.1.0"

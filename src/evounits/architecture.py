@@ -1,8 +1,10 @@
-"""Network shape description and parameter counting."""
+"""Network shape description, its frozen weights and parameter counting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 from .neural_unit import PARAMS_PER_NEURON, NeuronMode
@@ -49,3 +51,16 @@ def count_parameters(arch: Architecture) -> int:
             fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:])
         )
     return PARAMS_PER_NEURON[arch.neuron_mode] * sum(sizes)
+
+
+def sample_weights(arch: Architecture):
+    """Frozen weight matrices, one per layer gap, shape (fan_out, fan_in).
+
+    Each layer draws from its own stream keyed by (weight_seed, layer index),
+    so appending layers never perturbs earlier matrices.
+    """
+    weights = []
+    for k, (fan_in, fan_out) in enumerate(zip(arch.layer_sizes, arch.layer_sizes[1:])):
+        rng = np.random.default_rng(np.random.SeedSequence((arch.weight_seed, k)))
+        weights.append(rng.normal(0.0, arch.weight_std, size=(fan_out, fan_in)))
+    return weights

@@ -1,4 +1,4 @@
-"""Declarative experiment configuration: presets, YAML round-trip, validation.
+"""Declarative experiment configuration: presets, mapping round-trip, validation.
 
 Every section is a frozen dataclass checked by ``schema.check_fields``, and
 every error names the dotted YAML field."""
@@ -8,12 +8,9 @@ from __future__ import annotations
 import copy
 from dataclasses import MISSING, dataclass, fields
 
-import yaml
-
 from .architecture import Architecture
 from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
-from .network import write_atomically
 from .optimizers import PipelineConfig
 from .schema import at_least, check_fields, to_plain
 
@@ -133,9 +130,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _section(data, name, cls, **filled):
+def _section(data, name, cls, every_field=False, **filled):
     """Section ``name`` of ``data`` as a ``cls``; every error names the dotted
-    field. ``filled`` fields come from other sections and may not be set here."""
+    field. ``filled`` fields come from other sections and may not be set here;
+    with ``every_field``, as for a file the package wrote, no default is taken."""
     values = data.get(name, {})
     if not isinstance(values, dict):
         raise ConfigError(f"{name}: must be a mapping of fields, got {values!r}")
@@ -145,7 +143,8 @@ def _section(data, name, cls, **filled):
     unknown = set(values) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(values) - set(filled)
+    missing = {f.name for f in fields(cls) if every_field or f.default is MISSING}
+    missing -= set(values) | set(filled)
     if missing:
         raise ConfigError(f"{name}.{min(missing)}: missing")
     try:
@@ -194,18 +193,3 @@ def to_dict(cfg: ExperimentConfig) -> dict:
 
 def from_preset(name: str, overrides: dict = None) -> ExperimentConfig:
     return from_dict({"preset": name}, overrides)
-
-
-def load_config(path, overrides: dict = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: expected a mapping at top level")
-    return from_dict(data, overrides)
-
-
-def save_config(path, cfg: ExperimentConfig):
-    write_atomically(path, lambda fh: yaml.safe_dump(to_dict(cfg), fh, sort_keys=False), "w")

@@ -7,10 +7,8 @@ the activation function each unit has evolved.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,7 +17,8 @@ from .architecture import Architecture
 from .cartpole import BatchedSwingUp, SwingUpParams, check_arch
 from .errors import ConfigError
 from .neural_unit import NeuronMode
-from .network import BatchedPolicy, worker_splits, write_atomically
+from .network import BatchedPolicy, worker_splits
+from .rundir import write_eval_json  # noqa: F401  the name perfbench/ writes eval.json by
 from .schema import integer
 
 # Evaluation episode seeds live far away from training seeds (which count up
@@ -158,16 +157,9 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
     genome = np.asarray(genome, dtype=np.float64)
     genomes = np.broadcast_to(genome, (n_episodes, genome.size))
     seeds = [base_seed + k for k in range(n_episodes)]
-    scores = [float(s) for s in _scores(arch, env_params, genomes, seeds, trajectory)]
-    scores_arr = np.array(scores)
-    return EvalReport(
-        genome_id=genome_id,
-        scores=scores,
-        mean=float(scores_arr.mean()),
-        std=float(scores_arr.std()),
-        n_episodes=n_episodes,
-        base_seed=base_seed,
-    )
+    scores = _scores(arch, env_params, genomes, seeds, trajectory)
+    return EvalReport(genome_id, scores.tolist(), float(scores.mean()), float(scores.std()),
+                      n_episodes, base_seed)
 
 
 def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
@@ -189,9 +181,7 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
     if n_points < 1:
         raise ConfigError(f"n_points: must be at least 1, got {n_points}")
     if not (0 <= layer < arch.n_layers):
-        raise ConfigError(
-            f"layer: index {layer} out of range for {arch.n_layers} layers"
-        )
+        raise ConfigError(f"layer: index {layer} out of range for {arch.n_layers} layers")
     net = BatchedPolicy(arch, [genome, genome])
     inputs = np.linspace(lo, hi, n_points)
     sweeps = np.stack([inputs, inputs[::-1]], axis=1)[:, :, None]  # (t, row, 1)
@@ -201,28 +191,3 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
     divergence = np.abs(traces[:, 0, 0] - traces[::-1, 0, 1]).max(axis=0)
     states = traces[:, 1, 0] if mode is NeuronMode.RECURRENT else None
     return LayerProbe(inputs, traces[:, 0, 0], states, divergence)
-
-
-def write_eval_json(path, report: EvalReport):
-    write_atomically(path, lambda fh: json.dump(asdict(report), fh, indent=2), "w")
-
-
-def csv_row(values):
-    """A row of every CSV the package writes: ints and strings as they are,
-    every other value as ``repr(float(v))``, which reads back bitwise."""
-    return [v if isinstance(v, (int, str)) else repr(float(v)) for v in values]
-
-
-def write_csv(path, header, rows):
-    """``header``, then each of ``rows`` by :func:`csv_row`, written atomically."""
-    rows = map(csv_row, [header, *rows])
-    write_atomically(path, lambda fh: csv.writer(fh).writerows(rows), "w")
-
-
-def write_trace_csv(path, probe: LayerProbe):
-    """One CSV per layer: input column, then output (and state) per unit."""
-    planes = [probe.outputs] if probe.states is None else [probe.outputs, probe.states]
-    names = ["out", "state"][: len(planes)]
-    header = ["input"] + [f"{name}_{i}" for i in range(probe.outputs.shape[1]) for name in names]
-    columns = np.stack(planes, axis=-1).reshape(len(probe.inputs), -1)
-    write_csv(path, header, np.column_stack([probe.inputs, columns]))

@@ -1,44 +1,16 @@
 """The batched policy: frozen random weights with per-neuron units, or the
-weight-trainable tanh baseline. Also the champion checkpoint format.
+weight-trainable tanh baseline.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 
-from .architecture import Architecture, count_parameters
-from .errors import CheckpointError, ConfigError, DomainError
+from .architecture import Architecture, sample_weights
+from .errors import DomainError
 from .genome import decode
 from .neural_unit import NeuronMode, layer_step_recurrent, layer_step_simple
-from .schema import to_plain
-
-CHECKPOINT_SCHEMA_VERSION = 1
-
-
-def sample_weights(arch: Architecture):
-    """Frozen weight matrices, one per layer gap, shape (fan_out, fan_in).
-
-    Each layer draws from its own stream keyed by (weight_seed, layer index),
-    so appending layers never perturbs earlier matrices.
-    """
-    weights = []
-    for k, (fan_in, fan_out) in enumerate(zip(arch.layer_sizes, arch.layer_sizes[1:])):
-        rng = np.random.default_rng(np.random.SeedSequence((arch.weight_seed, k)))
-        weights.append(rng.normal(0.0, arch.weight_std, size=(fan_out, fan_in)))
-    return weights
-
-
-def weight_checksum(weights) -> str:
-    """SHA-256 over the raw float64 bytes of all matrices, in layer order."""
-    digest = hashlib.sha256()
-    for w in weights:
-        digest.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+from .rundir import load_champion  # noqa: F401  the name perfbench/ loads it by
 
 
 # Every row of a frozen-weight product is bitwise as in a product of this
@@ -249,89 +221,3 @@ class BatchedPolicy:
         step = layer_step_recurrent if self.mode is NeuronMode.RECURRENT else layer_step_simple
         step(self.params[k], pre, out, self._scratch[1, : m * n].reshape(m, n))
         return out
-
-
-def _arch_from_dict(d: dict) -> Architecture:
-    # Older files list an output nonlinearity per output; tanh is the only one.
-    kinds = d.get("output_kinds", ())
-    if any(k != "tanh" for k in kinds):
-        raise CheckpointError(f"arch.output_kinds: only tanh outputs exist, got {kinds}")
-    try:
-        return Architecture(d["layer_sizes"], d["neuron_mode"], d["weight_seed"], d["weight_std"])
-    except KeyError as exc:
-        raise ConfigError(f"{exc.args[0]}: missing") from exc
-
-
-def save_champion(path, arch: Architecture, genome, eval_info=None):
-    """Write a champion checkpoint as JSON; floats round-trip bit-exactly."""
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        checksum = None
-    else:
-        checksum = weight_checksum(sample_weights(arch))
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "kind": "champion",
-        "arch": to_plain(arch),
-        "genome": [float(v) for v in np.asarray(genome, dtype=np.float64)],
-        "weight_checksum": checksum,
-        "eval": eval_info,
-    }
-    write_atomically(path, lambda fh: json.dump(payload, fh), mode="w")
-
-
-def write_atomically(path, write, mode="wb"):
-    """``write(fh)`` to a synced file beside ``path``, renamed over it: a crash
-    mid-write leaves the previous file whole. Text is written with its line
-    endings as given, as the csv module needs."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
-            write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_champion(path):
-    """Read a champion checkpoint; verifies the frozen-weight checksum.
-
-    Returns (arch, genome, eval_info).
-    """
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot decode checkpoint {path}: {exc}") from exc
-    try:
-        if payload["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(f"schema_version: {payload['schema_version']!r} in {path}; "
-                                  f"only version {CHECKPOINT_SCHEMA_VERSION} loads")
-        if payload.get("kind") != "champion":
-            raise CheckpointError(f"kind: {payload.get('kind')!r} in {path} is no champion")
-        arch = _arch_from_dict(payload["arch"])
-        genome = np.asarray(payload["genome"], dtype=np.float64)
-        recorded = payload["weight_checksum"]
-        eval_info = payload.get("eval")
-        if not isinstance(eval_info, (dict, type(None))):
-            raise TypeError(f"eval: must be a mapping, got {eval_info!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    except ConfigError as exc:  # from Architecture, which names the field
-        raise CheckpointError(f"malformed checkpoint {path}: arch.{exc}") from exc
-    if not np.all(np.isfinite(genome)):
-        raise CheckpointError(f"malformed checkpoint {path}: genome has non-finite values")
-    if genome.size != count_parameters(arch):
-        raise CheckpointError(
-            f"checkpoint genome length {genome.size} does not match architecture "
-            f"(expected {count_parameters(arch)})"
-        )
-    if recorded is not None:
-        actual = weight_checksum(sample_weights(arch))
-        if actual != recorded:
-            raise CheckpointError(
-                "weight checksum mismatch: weights were mutated or the "
-                "generator changed since this checkpoint was written"
-            )
-    return arch, genome, eval_info

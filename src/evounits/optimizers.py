@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .schema import at_least, check_fields, integer, positive
+from .schema import Real, at_least, check_fields, integer, positive
 
 log = logging.getLogger(__name__)
 
@@ -281,12 +281,12 @@ class PipelineConfig:
 class GenerationRecord:
     generation: int
     stage: str
-    best_fitness: float
-    mean_fitness: float
-    std_fitness: float
-    periodic_eval_mean: float = float("nan")
-    periodic_eval_std: float = float("nan")
-    wallclock: float = 0.0
+    best_fitness: Real
+    mean_fitness: Real
+    std_fitness: Real
+    periodic_eval_mean: Real = float("nan")
+    periodic_eval_std: Real = float("nan")
+    wallclock: Real = 0.0
 
 
 class PipelineRunner:

@@ -1,5 +1,5 @@
-"""One check of every field of a frozen config dataclass, read off its
-annotation and bounds."""
+"""One check of every field of a frozen dataclass, a config section or a
+record of a file, read off its annotation and bounds."""
 
 from __future__ import annotations
 
@@ -18,18 +18,24 @@ def is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def integer(name, value):
-    """``value`` as an int; ConfigError names ``name`` unless it is a non-bool integer."""
-    if not is_int(value):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    return int(value)
+def is_real(v):
+    """A real number that is not a bool; NaN and +-inf included."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
+
+def is_finite(v):
+    """A finite real number that is not a bool."""
+    return is_real(v) and math.isfinite(v)
+
+
+# A float field that may be NaN or +-inf, as a fitness before any is scored.
+Real = typing.Annotated[float, "NaN and +-inf allowed"]
 
 # annotation: (accepts, stored as, what a value must be)
 _KINDS = {
     int: (is_int, int, "an integer"),
-    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v), float, "a finite number"),
+    float: (is_finite, float, "a finite number"),
+    Real: (is_real, float, "a number"),
     tuple[int, ...]: (lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
                       lambda v: tuple(map(int, v)), "a list of integers"),
 }
@@ -45,19 +51,31 @@ def positive(default=MISSING):
     return field(default=default, metadata={"positive": True})
 
 
-def _class_rule(kind):
+@functools.cache
+def _rule(kind):
+    """(accepts, stored as, what a value must be) of the annotation ``kind``."""
+    if kind in _KINDS:
+        return _KINDS[kind]
     if issubclass(kind, enum.Enum):
         values = [m.value for m in kind]
         return (lambda v: isinstance(v, kind) or v in values, kind, f"one of {values}")
     return (lambda v: isinstance(v, kind), lambda v: v, f"a {kind.__name__}")
 
 
-@functools.cache
-def _fields(cls):
-    """(name, rule, bounds) per field of ``cls``; a rule is as in _KINDS."""
-    kinds = typing.get_type_hints(cls)
-    return [(f.name, _KINDS.get(kinds[f.name]) or _class_rule(kinds[f.name]), f.metadata)
-            for f in fields(cls)]
+_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
+
+
+def check_value(name, value, kind):
+    """``value`` stored as the annotation ``kind``, as :func:`check_fields`
+    checks a field; ConfigError names ``name``."""
+    accepts, convert, what = _rule(kind)
+    if not accepts(value):
+        raise ConfigError(f"{name}: must be {what}, got {value!r}")
+    return convert(value)
+
+
+# ``value`` as an int; ConfigError names ``name`` unless it is a non-bool integer.
+integer = functools.partial(check_value, kind=int)
 
 
 def check_fields(obj):
@@ -66,19 +84,19 @@ def check_fields(obj):
     field.
 
     An int is an integer that is not a bool; a float is a finite real number,
-    an int included; a tuple[int, ...] is a list or tuple of such ints; an
-    enum is given by its value or as a member.
+    an int included, and a Real is any real number, NaN and +-inf included; a
+    tuple[int, ...] is a list or tuple of such ints; an enum is given by its
+    value or as a member.
     """
-    for name, (accepts, convert, what), bounds in _fields(type(obj)):
-        value = getattr(obj, name)
-        if not accepts(value):
-            raise ConfigError(f"{name}: must be {what}, got {value!r}")
-        stored = convert(value)
+    kinds = _hints(type(obj))
+    for f in fields(obj):
+        value, bounds = getattr(obj, f.name), f.metadata
+        stored = check_value(f.name, value, kinds[f.name])
         if "at_least" in bounds and stored < bounds["at_least"]:
-            raise ConfigError(f"{name}: must be at least {bounds['at_least']}, got {value}")
+            raise ConfigError(f"{f.name}: must be at least {bounds['at_least']}, got {value}")
         if bounds.get("positive") and not stored > 0:
-            raise ConfigError(f"{name}: must be positive, got {value}")
-        object.__setattr__(obj, name, stored)
+            raise ConfigError(f"{f.name}: must be positive, got {value}")
+        object.__setattr__(obj, f.name, stored)
 
 
 def to_plain(obj) -> dict:

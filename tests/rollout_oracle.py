@@ -13,10 +13,9 @@ production rollout with it bitwise.
 import numpy as np
 
 from evounits import network
-from evounits.architecture import count_parameters
+from evounits.architecture import count_parameters, sample_weights
 from evounits.cartpole import accelerations, initial_state, step_reward
 from evounits.genome import decode
-from evounits.network import sample_weights
 from evounits.neural_unit import NeuronMode
 
 

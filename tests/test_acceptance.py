@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evounits.architecture import Architecture, count_parameters
+from evounits.architecture import Architecture, count_parameters, sample_weights
 from evounits.cartpole import SwingUpParams
 from evounits.cli import _run_training
 from evounits.config import from_preset
@@ -26,7 +26,7 @@ from evounits.harness import (
     probe_layer,
 )
 from evounits.neural_unit import NeuronMode, layer_step_recurrent
-from evounits.network import sample_weights, weight_checksum
+from evounits.rundir import weight_checksum
 from evounits.optimizers import (
     CmaEs,
     GeneticAlgorithm,

@@ -12,13 +12,13 @@ import yaml
 import rollout_oracle as oracle
 from evounits.architecture import Architecture
 from evounits.cartpole import SwingUpParams
-from evounits import cli, harness
+from evounits import cli, harness, rundir
 from evounits.cli import main
-from evounits.config import from_dict, from_preset, load_config
+from evounits.config import from_dict, from_preset
 from evounits.genome import initial_genome
 from evounits.harness import evaluate
-from evounits.network import load_champion, save_champion
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import load_champion, load_config, save_champion
 
 REFERENCE_CHAMPION = Path(__file__).resolve().parent.parent / "artifacts" / \
     "reference_champion.json"
@@ -109,7 +109,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out),
                      "--quiet"]) == 2
-        assert (out / "failed_genomes_gen3.npy").exists()
+        assert np.load(out / "failed_genomes_gen3.npy").shape == (4, 96)
         history = (out / "history.csv").read_text().strip().splitlines()
         assert len(history) == 1 + 3
         assert [row.split(",")[0] for row in history[1:]] == ["0", "1", "2"]
@@ -409,7 +409,7 @@ class TestProbe:
 
 def crash_after_rows(monkeypatch, rows=3):
     """The next CSV write raises after ``rows`` rows, as on a full disk."""
-    written, csv_row = [], harness.csv_row
+    written, csv_row = [], rundir.csv_row
 
     def crashing_row(values):
         if len(written) == rows:
@@ -417,7 +417,7 @@ def crash_after_rows(monkeypatch, rows=3):
         written.append(values)
         return csv_row(values)
 
-    monkeypatch.setattr(harness, "csv_row", crashing_row)
+    monkeypatch.setattr(rundir, "csv_row", crashing_row)
 
 
 def crash_in_json_dump(monkeypatch):
@@ -450,6 +450,26 @@ class TestOutputsAreAtomic:
                  ["--champion", str(REFERENCE_CHAMPION)])
         monkeypatch.undo()
         assert (out / name).read_text() == "previous\n"
+        assert not list(out.glob("*.tmp"))
+
+
+    def test_failed_genomes_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
+        def fails(self, genomes, generation):
+            raise FloatingPointError("injected failure")
+
+        def crashing_save(fh, arr):
+            fh.write(b"\x93NUMPY partial")
+            raise OSError("disk full")
+
+        cfg = write_config(tmp_path / "cfg.yaml")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "failed_genomes_gen0.npy").write_text("previous\n")
+        monkeypatch.setattr(cli.PopulationEvaluator, "__call__", fails)
+        monkeypatch.setattr(rundir.np, "save", crashing_save)
+        with pytest.raises(OSError, match="disk full"):
+            main(["train", "--config", str(cfg), "--out-dir", str(out), "--quiet"])
+        assert (out / "failed_genomes_gen0.npy").read_text() == "previous\n"
         assert not list(out.glob("*.tmp"))
 
 
@@ -542,19 +562,19 @@ class TestResume:
         ckpt_dir.mkdir()
         target = ckpt_dir / "runner.npz"
         shutil.copy(trained_run / "checkpoints" / "runner_gen2.npz", target)
-        later = cli._load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen4.npz")
+        later = rundir.load_runner_checkpoint(trained_run / "checkpoints" / "runner_gen4.npz")
 
         def crashing_savez(fh, **arrays):
             fh.write(b"partial checkpoint bytes")
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.np, "savez", crashing_savez)
+        monkeypatch.setattr(rundir.np, "savez", crashing_savez)
         with pytest.raises(OSError, match="disk full"):
-            cli._save_runner_checkpoint(target, from_dict(later["config"]), tmp_path,
+            rundir.save_runner_checkpoint(target, from_dict(later["config"]), tmp_path,
                                         later["runner"])
         monkeypatch.undo()
         assert [p.name for p in ckpt_dir.iterdir()] == ["runner.npz"]
-        assert cli._load_runner_checkpoint(target)["runner"].generation == 2
+        assert rundir.load_runner_checkpoint(target)["runner"].generation == 2
         assert main(["resume", "--checkpoint", str(target), "--out-dir",
                      str(tmp_path / "resumed"), "--quiet"]) == 0
 
@@ -594,9 +614,9 @@ class TestResume:
         pytest.param(2, lambda m: m["meta"].pop("generation"), "generation",
                      id="no-generation"),
         pytest.param(2, lambda m: m["meta"].update(generation=True),
-                     "generation: missing, or no int", id="generation-bool"),
+                     "meta.generation: must be an integer", id="generation-bool"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].update(generation=True),
-                     "optimizer.generation: missing, or no int", id="cma-generation-bool"),
+                     "optimizer.generation: must be an integer", id="cma-generation-bool"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",
                      id="no-rng"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].update(sigma="0.5"),
@@ -627,7 +647,7 @@ class TestResume:
         pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=1.0),
                      "optimizer.parents", id="parents-float"),
         pytest.param(1, lambda m: m["meta"]["optimizer"].update(parents=True),
-                     "optimizer.parents: missing, or no int", id="parents-bool"),
+                     "optimizer.parents: must be an integer", id="parents-bool"),
         pytest.param(1, lambda m: m.update({"optimizer.elites": np.tile(
             m["optimizer.elites"], (2, 1))}), "optimizer.elites", id="elites-extra-row"),
         pytest.param(1, lambda m: m.pop("optimizer.elites"), "optimizer.elites",
@@ -667,7 +687,8 @@ class TestResume:
 
 class TestWeightImmutability:
     def test_checksum_survives_training(self, trained_run):
-        from evounits.network import load_champion, sample_weights, weight_checksum
+        from evounits.architecture import sample_weights
+        from evounits.rundir import weight_checksum
 
         arch, _, _ = load_champion(trained_run / "champion.json")
         champ = json.loads((trained_run / "champion.json").read_text())

@@ -3,11 +3,11 @@ from dataclasses import FrozenInstanceError, asdict
 import pytest
 import yaml
 
-from evounits import config
 from evounits.architecture import Architecture
-from evounits.config import PRESETS, from_dict, from_preset, load_config, save_config, to_dict
+from evounits.config import PRESETS, from_dict, from_preset, to_dict
 from evounits.errors import ConfigError
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import load_config, save_config
 
 GA_CMAES = {
     "total_generations": 4000, "ga_generations": 100, "ga_pop": 512,
@@ -91,7 +91,7 @@ def test_crash_mid_write_keeps_previous_config(tmp_path, monkeypatch):
         fh.write("preset: cartpole-rec")
         raise OSError("disk full")
 
-    monkeypatch.setattr(config.yaml, "safe_dump", crashing_dump)
+    monkeypatch.setattr(yaml, "safe_dump", crashing_dump)
     with pytest.raises(OSError, match="disk full"):
         save_config(path, from_preset("cartpole-simple"))
     monkeypatch.undo()

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from evounits import harness, network
+from evounits import harness, network, rundir
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.errors import ConfigError
@@ -13,10 +13,9 @@ from evounits.harness import (
     evaluate,
     evaluate_population,
     probe_layer,
-    write_eval_json,
-    write_trace_csv,
 )
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import write_eval_json, write_probe
 from genomes import flat_genome
 from unit_oracle import NeuronParams, activate_recurrent, activate_simple
 
@@ -376,7 +375,7 @@ class TestWriters:
             fh.write('{"genome_id": "ini')
             raise OSError("disk full")
 
-        monkeypatch.setattr(harness.json, "dump", crashing_dump)
+        monkeypatch.setattr(rundir.json, "dump", crashing_dump)
         with pytest.raises(OSError, match="disk full"):
             write_eval_json(path, evaluate(initial_genome(a), a, ENV, 3, 0))
         monkeypatch.undo()
@@ -386,16 +385,14 @@ class TestWriters:
     def test_trace_csv_shape_recurrent(self, tmp_path):
         a = rec_arch()
         g = np.random.default_rng(9).normal(size=count_parameters(a))
-        path = tmp_path / "traces.csv"
-        write_trace_csv(path, probe_layer(g, a, 2))
+        path = write_probe(tmp_path, 2, probe_layer(g, a, 2))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1001
         assert len(lines[0].split(",")) == 1 + 2 * 4
 
     def test_trace_csv_omits_states_for_simple(self, tmp_path):
         a = simple_arch()
-        path = tmp_path / "traces.csv"
-        write_trace_csv(path, probe_layer(initial_genome(a), a, 2))
+        path = write_probe(tmp_path, 2, probe_layer(initial_genome(a), a, 2))
         header = path.read_text().splitlines()[0].split(",")
         assert len(header) == 1 + 4
         assert not any(col.startswith("state") for col in header)

@@ -5,19 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evounits.architecture import Architecture, count_parameters
+from evounits.architecture import Architecture, count_parameters, sample_weights
 from evounits.cartpole import BatchedSwingUp, SwingUpParams
 from evounits.errors import CheckpointError, ConfigError, DomainError
 from evounits.genome import decode, initial_genome
 from evounits.harness import _fill_order
-from evounits.network import (
-    BatchedPolicy,
-    load_champion,
-    sample_weights,
-    save_champion,
-    weight_checksum,
-)
+from evounits.network import BatchedPolicy
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import load_champion, save_champion, weight_checksum
 from genomes import flat_genome
 from rollout_oracle import FullBatchPolicy
 
@@ -308,7 +303,7 @@ class TestChampionCheckpoint:
         assert again.read_bytes() == path.read_bytes()
 
     def test_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
-        from evounits import network
+        from evounits import rundir
 
         a = rec_arch((3, 4, 1), seed=5)
         genome = np.random.default_rng(0).normal(size=count_parameters(a))
@@ -319,7 +314,7 @@ class TestChampionCheckpoint:
             fh.write('{"schema_version": 1, "gen')
             raise OSError("disk full")
 
-        monkeypatch.setattr(network.json, "dump", crashing_dump)
+        monkeypatch.setattr(rundir.json, "dump", crashing_dump)
         with pytest.raises(OSError, match="disk full"):
             save_champion(path, a, genome + 1.0)
         monkeypatch.undo()
@@ -371,7 +366,16 @@ class TestChampionCheckpoint:
         (lambda p: p.update(schema_version=2), "schema_version: "),
         (lambda p: p.update(kind="runner"), "kind: "),
         (lambda p: p["arch"].pop("weight_std"), "arch.weight_std: missing"),
-    ], ids=["schema-2", "foreign-kind", "no-weight-std"])
+        # Each of these loaded as something else, or failed without naming its field.
+        (lambda p: p.update(schema_version=True), "schema_version: True"),
+        (lambda p: p.update(genome=True), "genome: must be a list"),
+        (lambda p: p.update(genome="abc"), "genome: must be a list"),
+        (lambda p: p.update(weight_checksum=5), "weight_checksum: must be"),
+        (lambda p: p.update(arch="recurrent"), "arch: must be a mapping"),
+        (lambda p: p.update(arch=[5, 128, 64, 1]), "arch: must be a mapping"),
+        (lambda p: p.update(arch=5), "arch: must be a mapping"),
+    ], ids=["schema-2", "foreign-kind", "no-weight-std", "schema-true", "genome-true",
+            "genome-string", "checksum-int", "arch-string", "arch-list", "arch-number"])
     def test_refused_field_named_with_path(self, tmp_path, edit, message):
         path = edited_reference(tmp_path, edit)
         with pytest.raises(CheckpointError) as exc:

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from evounits import cli
+from evounits import rundir
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.config import from_dict
@@ -35,8 +35,8 @@ def experiment(layer_sizes, **optimizer):
 def checkpoint_round_trip(tmp_path, cfg, runner):
     """``runner`` written as a run checkpoint of ``cfg`` and read back."""
     path = tmp_path / "runner.npz"
-    cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
-    return cli._load_runner_checkpoint(path)["runner"]
+    rundir.save_runner_checkpoint(path, cfg, tmp_path, runner)
+    return rundir.load_runner_checkpoint(path)["runner"]
 
 
 def reference_tell(es, fitnesses):
@@ -377,9 +377,9 @@ class TestCmaEs:
         es = runner.optimizer
         assert es.dim == 300 and es.generation == 1
         path = tmp_path / "runner.npz"
-        cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
+        rundir.save_runner_checkpoint(path, cfg, tmp_path, runner)
         assert path.stat().st_size < 0.55 * es.cov.nbytes + 64_000
-        assert np.array_equal(cli._load_runner_checkpoint(path)["runner"].optimizer.cov,
+        assert np.array_equal(rundir.load_runner_checkpoint(path)["runner"].optimizer.cov,
                               es.cov)
 
     def test_asymmetric_covariance_not_saved(self, tmp_path):
@@ -389,7 +389,7 @@ class TestCmaEs:
         runner.optimizer.cov[0, 1] += 1e-16
         path = tmp_path / "runner.npz"
         with pytest.raises(CheckpointError, match="optimizer.cov"):
-            cli._save_runner_checkpoint(path, cfg, tmp_path, runner)
+            rundir.save_runner_checkpoint(path, cfg, tmp_path, runner)
         assert list(tmp_path.iterdir()) == []
 
     def test_tell_bitwise_as_reference_expression(self):

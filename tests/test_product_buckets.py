@@ -14,11 +14,12 @@ import pytest
 
 import rollout_oracle as oracle
 from evounits import network
-from evounits.architecture import Architecture, count_parameters
+from evounits.architecture import Architecture, count_parameters, sample_weights
 from evounits.cartpole import SwingUpParams
 from evounits.harness import evaluate, evaluate_population
-from evounits.network import bucket_table, sample_weights
+from evounits.network import bucket_table
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import load_champion
 from test_rollout_golden import CHAMPION, ENV, SIZES, staggered_population
 
 ARCH = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
@@ -113,7 +114,7 @@ def test_unverified_prefix_pads_all_live_batch(fresh_buckets, monkeypatch):
     probe = network._probe_buckets
     monkeypatch.setattr(network, "_probe_buckets", lambda fan_in, fan_out, sizes:
                         probe(fan_in, fan_out, [b for b in sizes if b != 100]))
-    arch, genome, _ = network.load_champion(CHAMPION)
+    arch, genome, _ = load_champion(CHAMPION)
     env = SwingUpParams(max_steps=100)
     want, lengths = oracle.evaluation_scores(genome, arch, env, 100, 5)
     assert np.all(lengths[0] == env.max_steps)
@@ -125,7 +126,7 @@ def test_unverified_prefix_pads_all_live_batch(fresh_buckets, monkeypatch):
 def test_all_live_rollout_never_probes(fresh_buckets):
     # An all-live batch that fills whole PRODUCT_ROWS-row slices runs them
     # in place without a table.
-    arch, genome, _ = network.load_champion(CHAMPION)
+    arch, genome, _ = load_champion(CHAMPION)
     env = SwingUpParams(max_steps=100)
     for n in (128, 256):
         report = evaluate(genome, arch, env, n, 5)
@@ -141,7 +142,7 @@ def test_batch_of_65_probes_one_table_per_shape(fresh_buckets, monkeypatch):
     table = network.bucket_table
     monkeypatch.setattr(network, "bucket_table",
                         lambda *key: lookups.append(key) or table(*key))
-    arch, genome, _ = network.load_champion(CHAMPION)
+    arch, genome, _ = load_champion(CHAMPION)
     env = SwingUpParams(max_steps=100)
     want, _ = oracle.evaluation_scores(genome, arch, env, 65, 5)
     assert evaluate(genome, arch, env, 65, 5).scores == want

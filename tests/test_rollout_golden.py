@@ -15,8 +15,8 @@ from evounits import network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.harness import evaluate, evaluate_population
-from evounits.network import load_champion
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import load_champion
 
 SIZES = (5, 128, 64, 1)
 ENV = SwingUpParams(max_steps=160)
