@@ -4,6 +4,8 @@ weight-trainable tanh baseline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .architecture import Architecture, sample_weights
@@ -16,92 +18,49 @@ from .rundir import load_champion  # noqa: F401  the name perfbench/ loads it by
 # Every row of a frozen-weight product is bitwise as in a product of this
 # many rows, whatever the batch size, the live set or the worker split.
 PRODUCT_ROWS = 128
-
-# Tables of bucket_table, keyed by (fan_in, fan_out, the batch's row count
-# or PRODUCT_ROWS where that count adds no size), each probed the first time
-# a product needs it.
-_BUCKETS = {}
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
 
 
-def _probe_buckets(fan_in, fan_out, sizes):
-    """Those of ``sizes`` (row counts b < PRODUCT_ROWS) whose b-row products
-    match a PRODUCT_ROWS-row product, or none where its rows depend on their
-    place.
+@functools.cache
+def rows_stable(fan_in, fan_out):
+    """Whether a PRODUCT_ROWS-row product of this shape gives each row the
+    same bits at any place in it; checked once per shape in this process.
 
     Each of PROBE_TRIALS trials draws a fresh fixed-seed random
     (PRODUCT_ROWS, fan_in) matrix and row order; the reordered matrix must
-    give the reordered product bitwise. Each size b not yet rejected is
-    tried on the first b rows of that order, sorted and copied to the top
-    of a buffer, as live rows fill a bucket's top, and must match bitwise.
+    give the reordered product bitwise.
     """
     rng = np.random.default_rng(PROBE_SEED)
     w_t = rng.normal(size=(fan_out, fan_in)).T
-    buf = np.empty((PRODUCT_ROWS, fan_in))
-    sizes = list(sizes)
     for _ in range(PROBE_TRIALS):
         a = rng.normal(size=(PRODUCT_ROWS, fan_in))
-        full = a @ w_t
         perm = rng.permutation(PRODUCT_ROWS)
-        if not np.array_equal(a[perm] @ w_t, full[perm]):
-            return []
-        for b in list(sizes):
-            rows = np.sort(perm[:b])
-            buf[:b] = a[rows]
-            if not np.array_equal(buf[:b] @ w_t, full[rows]):
-                sizes.remove(b)
-    return sizes
-
-
-def bucket_table(fan_in, fan_out, batch):
-    """Per live row count m <= PRODUCT_ROWS, the smallest verified row
-    count >= m, or PRODUCT_ROWS where none is.
-
-    The sizes probed are the powers of two below PRODUCT_ROWS and, where it
-    is below PRODUCT_ROWS and not a power of two, ``batch`` itself; each
-    table is probed once per shape in this process.
-    """
-    sizes = [1 << i for i in range((PRODUCT_ROWS - 1).bit_length())]
-    if batch < PRODUCT_ROWS and batch not in sizes:
-        sizes.append(batch)
-    else:
-        batch = PRODUCT_ROWS
-    key = (fan_in, fan_out, batch)
-    table = _BUCKETS.get(key)
-    if table is None:
-        table = [PRODUCT_ROWS] * (PRODUCT_ROWS + 1)
-        for b in sorted(_probe_buckets(fan_in, fan_out, sizes), reverse=True):
-            table[: b + 1] = [b] * (b + 1)
-        _BUCKETS[key] = table
-    return table
+        if not np.array_equal(a[perm] @ w_t, (a @ w_t)[perm]):
+            return False
+    return True
 
 
 def worker_splits(arch: Architecture, rows, workers):
-    """Bounds of up to ``workers`` contiguous splits of ``rows`` rows, each
-    split's bucket tables built here for the pool workers to inherit.
+    """Bounds of up to ``workers`` contiguous splits of ``rows`` rows.
 
-    The splits are even where every product has a verified bucket (see
-    :func:`_probe_buckets`), else at whole PRODUCT_ROWS-row blocks, so that a
-    row's outputs are bitwise independent of the split. One worker takes
-    the whole batch, and nothing is probed.
+    The splits are even where every product's rows are stable (see
+    :func:`rows_stable`), else at whole PRODUCT_ROWS-row blocks, so that a
+    row's outputs are bitwise independent of the split. The checks made
+    here are cached before the pool workers fork, so they inherit them.
+    One worker takes the whole batch, and nothing is checked.
     """
     if workers <= 1:
         return [0, rows]
     shapes = list(zip(arch.layer_sizes, arch.layer_sizes[1:]))
     if arch.neuron_mode is NeuronMode.PLAIN_TANH:
         shapes = []  # no frozen-weight products
-    movable = all(bucket_table(*shape, PRODUCT_ROWS)[1] < PRODUCT_ROWS for shape in shapes)
-    step = 1 if movable else PRODUCT_ROWS
+    step = 1 if all(rows_stable(*shape) for shape in shapes) else PRODUCT_ROWS
     units = -(-rows // step)
     parts = min(workers, units)
     if parts <= 1:
         return [0, rows]
-    bounds = np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        for shape in shapes:
-            bucket_table(*shape, hi - lo)
-    return bounds
+    return np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist()
 
 
 class BatchedPolicy:
@@ -113,11 +72,11 @@ class BatchedPolicy:
     neuron state zero, and ``keep`` drops rows whose episode has ended, so
     ``forward`` only ever computes running episodes.
     ``rows`` holds the batch index of each live row. Every weight product
-    multiplies a layer plane's rows where they are, by one rule (see
-    :meth:`_weight_product`), with the table that :func:`bucket_table`
-    probes for B. A row's outputs depend on its own genome and inputs
-    alone, and on its index modulo PRODUCT_ROWS only where some product
-    has no verified bucket (see :func:`worker_splits`).
+    multiplies a layer plane's rows where they are, as whole
+    PRODUCT_ROWS-row slices (see :meth:`_weight_product`). A row's outputs
+    depend on its own genome and inputs alone, and on its index modulo
+    PRODUCT_ROWS only where some product's rows are not stable (see
+    :func:`rows_stable` and :func:`worker_splits`).
     """
 
     def __init__(self, arch: Architecture, genomes):
@@ -130,8 +89,6 @@ class BatchedPolicy:
             self.layers = decode(genomes, arch)
             return
         self.weights = sample_weights(arch)
-        # Each product's bucket_table for this batch, the first time it is needed.
-        self._tables = [None] * len(self.weights)
         # Each unit coefficient as one contiguous plane, as the layer steps
         # expect: (B, n, 2, 3) to (2, 3, B, n), or (B, n, 2) to (2, B, n).
         k = 2 if self.mode is NeuronMode.RECURRENT else 1
@@ -139,8 +96,8 @@ class BatchedPolicy:
                        for p in decode(genomes, arch)]
         # Per layer, plane 0 holds the unit outputs of the live rows [:m]
         # and, for recurrent units, plane 1 their states. The rows run to
-        # whole PRODUCT_ROWS-row slices, so that every bucket lies on the
-        # plane. Products and unit steps share _scratch.
+        # whole PRODUCT_ROWS-row slices, so that every product slice lies on
+        # the plane. Products and unit steps share _scratch.
         rows = -(-self.batch // PRODUCT_ROWS) * PRODUCT_ROWS
         self.planes = [np.zeros((k, rows, n)) for n in arch.layer_sizes]
         self._scratch = np.zeros((2, rows * max(arch.layer_sizes)))
@@ -169,35 +126,28 @@ class BatchedPolicy:
         """Layer k's outputs of the m live rows times W_k.T, each row bitwise
         as in a PRODUCT_ROWS-row product, written into scratch row 0.
 
-        Each product multiplies the plane's rows where they are: the live
-        rows as direct PRODUCT_ROWS-row slices, then the r rows left over
-        once, at the smallest verified row count that holds them (see
-        :func:`bucket_table`), the plane's rows past the live ones filling
-        that count. An all-live batch of whole slices needs no table. Where
-        no row count verifies, each PRODUCT_ROWS-row block of the batch runs
-        at PRODUCT_ROWS rows with its live rows at their own places.
+        Each product multiplies the plane's rows where they are, as whole
+        PRODUCT_ROWS-row slices; the plane's rows past the live ones fill
+        the last slice. Once rows have ended, live rows sit at other places
+        than their own, which keeps their bits only where the shape's rows
+        are stable (see :func:`rows_stable`); an all-live batch never
+        checks. Where they are not, each PRODUCT_ROWS-row block of the batch
+        runs at PRODUCT_ROWS rows with its live rows at their own places.
         """
         w_t = self.weights[k].T
         x = self.planes[k][0]
         out = self._scratch[0, : len(x) * w_t.shape[1]].reshape(len(x), -1)
-        end = m - m % PRODUCT_ROWS
-        if end < m or m < self.batch:
-            table = self._tables[k]
-            if table is None:
-                table = self._tables[k] = bucket_table(*w_t.shape, self.batch)
-            if table[1] == PRODUCT_ROWS:
-                buf = self._scratch[1, : PRODUCT_ROWS * len(w_t)].reshape(PRODUCT_ROWS, -1)
-                block_of = self.rows // PRODUCT_ROWS
-                for c in np.unique(block_of):
-                    sel = np.flatnonzero(block_of == c)
-                    local = self.rows[sel] - c * PRODUCT_ROWS
-                    buf[local] = x[sel]
-                    out[sel] = (buf @ w_t)[local]
-                return out[:m]
-            end += table[m - end] if end < m else 0
-        for i in range(0, end, PRODUCT_ROWS):
-            j = min(i + PRODUCT_ROWS, end)
-            np.matmul(x[i:j], w_t, out=out[i:j])
+        if m < self.batch and not rows_stable(*w_t.shape):
+            buf = self._scratch[1, : PRODUCT_ROWS * len(w_t)].reshape(PRODUCT_ROWS, -1)
+            block_of = self.rows // PRODUCT_ROWS
+            for c in np.unique(block_of):
+                sel = np.flatnonzero(block_of == c)
+                local = self.rows[sel] - c * PRODUCT_ROWS
+                buf[local] = x[sel]
+                out[sel] = (buf @ w_t)[local]
+            return out[:m]
+        for i in range(0, m, PRODUCT_ROWS):
+            np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])
         return out[:m]
 
     def forward(self, obs):

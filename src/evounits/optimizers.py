@@ -255,7 +255,7 @@ class PipelineConfig:
     optimizer_kind: str = "ga-cmaes"  # or "openes"
     openes_pop: int = at_least(2, 128)
     openes_sigma: float = positive(0.1)
-    openes_lr: float = 0.01
+    openes_lr: float = positive(0.01)
     eval_every: int = at_least(1, 50)
     eval_episodes: int = at_least(1, 64)
     seed: int = 0

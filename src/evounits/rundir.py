@@ -189,10 +189,12 @@ def load_champion(path):
                               f"has {count_parameters(arch)} parameters")
         if "weight_checksum" not in payload:
             raise ConfigError("weight_checksum: missing")
-        recorded = payload["weight_checksum"]  # null where no weights are frozen
-        if not isinstance(recorded, (str, type(None))):
-            raise ConfigError(f"weight_checksum: must be a string or null, got {recorded!r}")
-        if recorded is not None and recorded != weight_checksum(sample_weights(arch)):
+        recorded = payload["weight_checksum"]
+        frozen = arch.neuron_mode is not NeuronMode.PLAIN_TANH
+        if not isinstance(recorded, str if frozen else type(None)):
+            must = "a string where weights are frozen" if frozen else "null for plain tanh"
+            raise ConfigError(f"weight_checksum: must be {must}, got {recorded!r}")
+        if frozen and recorded != weight_checksum(sample_weights(arch)):
             raise ConfigError("weight_checksum: mismatch: weights were mutated or the "
                               "generator changed since this checkpoint was written")
         eval_info = payload.get("eval")

@@ -83,6 +83,13 @@ def test_negative_master_seed_named():
         from_preset("cartpole-recurrent", {"seeds": {"master_seed": -1}})
 
 
+@pytest.mark.parametrize("lr", [-5.0, 0.0])
+def test_nonpositive_openes_lr_named(lr):
+    # OpenES would descend the fitness at a negative rate.
+    with pytest.raises(ConfigError, match="^optimizer.openes_lr: "):
+        from_preset("cartpole-same-ffnn", {"optimizer": {"openes_lr": lr}})
+
+
 def test_crash_mid_write_keeps_previous_config(tmp_path, monkeypatch):
     path = tmp_path / "config.yaml"
     save_config(path, from_preset("cartpole-recurrent"))

@@ -2,9 +2,11 @@
 batches and episode lengths.
 
 A candidate's fitness depends on its genome and the episode seeds alone
-where the probe verifies a bucket for every frozen-weight product; where it
-does not, on its index modulo ``network.PRODUCT_ROWS`` too. Either way it
-is bitwise independent of the worker count.
+where every frozen-weight product's rows are stable (``network.rows_stable``);
+where they are not, on its index modulo ``network.PRODUCT_ROWS`` too. Either
+way it is bitwise independent of the worker count, and an ``evaluate``
+episode's score depends on its seed alone, not on how many episodes share
+its batch.
 """
 
 import numpy as np
@@ -14,32 +16,39 @@ from hypothesis import strategies as st
 from evounits import network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
-from evounits.harness import evaluate_population
+from evounits.harness import evaluate, evaluate_population
 from evounits.neural_unit import NeuronMode
 
 ROWS = network.PRODUCT_ROWS
 
 
 @st.composite
-def populations(draw):
-    """(arch, env, genomes, episode seeds): a random 5-h1-h2-1 unit-mode
-    network, 1 to 300 random candidates, and episodes of at most 40 steps
-    on a rail short enough that they end at scattered steps."""
+def tasks(draw):
+    """(arch, env): a random 5-h1-h2-1 unit-mode network, and episodes of at
+    most 40 steps on a rail short enough that they end at scattered steps."""
     mode = draw(st.sampled_from([NeuronMode.RECURRENT, NeuronMode.SIMPLE]))
     sizes = (5, draw(st.integers(1, 40)), draw(st.integers(1, 40)), 1)
     arch = Architecture(sizes, mode, weight_seed=draw(st.integers(0, 2**32)))
     env = SwingUpParams(max_steps=draw(st.integers(2, 40)),
                         x_threshold=draw(st.floats(0.05, 2.4)), reset_noise=0.5)
+    return arch, env
+
+
+@st.composite
+def populations(draw):
+    """(arch, env, genomes, episode seeds): a random task, 1 to 300 random
+    candidates, and one or two episode seeds."""
+    arch, env = draw(tasks())
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     genomes = rng.normal(0, 1, (draw(st.integers(1, 300)), count_parameters(arch)))
     seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=2))
     return arch, env, genomes, seeds
 
 
-def verified(arch):
-    """Whether the probe verifies a bucket for every product of ``arch``."""
+def rows_stable(arch):
+    """Whether every frozen-weight product of ``arch`` has stable rows."""
     shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
-    return all(network.bucket_table(*shape, ROWS)[1] < ROWS for shape in shapes)
+    return all(network.rows_stable(*shape) for shape in shapes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -47,10 +56,10 @@ def verified(arch):
 def test_fitness_is_the_rows_fitness_alone(case, picks):
     arch, env, genomes, seeds = case
     fitness = evaluate_population(arch, env, genomes, seeds)
-    strong = verified(arch)
+    strong = rows_stable(arch)
     for i in (p % len(genomes) for p in picks):
-        # Alone, or where the probe verifies no bucket, last of a batch
-        # that puts it at the same index modulo ROWS.
+        # Alone, or where some product's rows are not stable, last of a
+        # batch that puts it at the same index modulo ROWS.
         batch = genomes[i : i + 1] if strong else genomes[i - i % ROWS : i + 1]
         assert evaluate_population(arch, env, batch, seeds)[-1] == fitness[i]
 
@@ -61,3 +70,19 @@ def test_fitness_is_independent_of_the_worker_count(case):
     arch, env, genomes, seeds = case
     serial = evaluate_population(arch, env, genomes, seeds, workers=1)
     assert np.array_equal(evaluate_population(arch, env, genomes, seeds, workers=2), serial)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(task=tasks(), n=st.integers(1, 300), base_seed=st.integers(0, 10**6),
+       genome_seed=st.integers(0, 2**32),
+       picks=st.lists(st.integers(0, 299), min_size=5, max_size=5))
+def test_episode_score_is_independent_of_n_episodes(task, n, base_seed, genome_seed, picks):
+    arch, env = task
+    genome = np.random.default_rng(genome_seed).normal(0, 1, count_parameters(arch))
+    scores = evaluate(genome, arch, env, n, base_seed).scores
+    for k in (p % n for p in picks):
+        # Where some product's rows are not stable, episode k keeps its
+        # index modulo ROWS in a batch that ends with it.
+        first = 0 if rows_stable(arch) else k - k % ROWS
+        alone = evaluate(genome, arch, env, k - first + 1, base_seed + first).scores
+        assert alone[-1] == scores[k]

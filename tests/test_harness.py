@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -150,10 +151,9 @@ class TestPopulationEvaluator:
         assert network.worker_splits(a, 7, 2) == [0, 3, 7]
 
     def test_two_workers_without_buckets(self, monkeypatch):
-        # Where no bucket verifies, each row runs at its place in its
-        # 128-row block, and the pool splits at whole blocks to keep it.
-        monkeypatch.setattr(network, "_BUCKETS", {})
-        monkeypatch.setattr(network, "_probe_buckets", lambda *shape: [])
+        # Where a product's rows are not stable, each row runs at its place
+        # in its 128-row block, and the pool splits at whole blocks to keep it.
+        monkeypatch.setattr(network, "rows_stable", lambda *shape: False)
         a = rec_arch()
         env = SwingUpParams(max_steps=200, reset_noise=1.0)
         genomes = np.random.default_rng(10).normal(0, 1, (300, count_parameters(a)))
@@ -162,32 +162,30 @@ class TestPopulationEvaluator:
         assert np.array_equal(pooled, serial)
 
     def test_pool_workers_inherit_every_table(self, monkeypatch, tmp_path):
-        # The parent probes the PRODUCT_ROWS-row tables to choose the split,
-        # here an even one, since every size verifies. Splits of 50 rows key
-        # tables of their own; the parent probes them too before it forks,
-        # so no worker probes, on the first call or later.
-        monkeypatch.setattr(network, "_BUCKETS", {})
-        log = tmp_path / "probes"
+        # The parent checks every product's shape to choose the split, here
+        # an even one, and caches the answers before it forks: a pooled call
+        # equals the 1-worker call, and no worker checks, on the first call
+        # or later.
+        log = tmp_path / "checks"
+        check = network.rows_stable.__wrapped__
 
-        def logged_probe(fan_in, fan_out, sizes):
+        def logged_check(fan_in, fan_out):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return list(sizes)
+            return check(fan_in, fan_out)
 
-        monkeypatch.setattr(network, "_probe_buckets", logged_probe)
+        monkeypatch.setattr(network, "rows_stable", functools.cache(logged_check))
         a = rec_arch()
         env = SwingUpParams(max_steps=50)
         genomes = np.random.default_rng(10).normal(0, 1, (100, count_parameters(a)))
-        for _ in range(2):
-            evaluate_population(a, env, genomes, [3], workers=2)
-        assert log.read_text().split() == [str(os.getpid())] * 6
-        assert sorted(network._BUCKETS) == [(4, 1, 50), (4, 1, 128), (5, 8, 50),
-                                            (5, 8, 128), (8, 4, 50), (8, 4, 128)]
+        pooled = [evaluate_population(a, env, genomes, [3], workers=2) for _ in range(2)]
+        assert log.read_text().split() == [str(os.getpid())] * 3
+        serial = evaluate_population(a, env, genomes, [3], workers=1)
+        assert all(np.array_equal(p, serial) for p in pooled)
 
     def test_one_worker_probes_nothing_up_front(self, monkeypatch):
-        # The serial path builds its tables only when a product needs one.
-        monkeypatch.setattr(network, "_BUCKETS", {})
-        monkeypatch.setattr(network, "_probe_buckets", lambda *shape: pytest.fail("probed"))
+        # The serial path checks a shape only when a product needs it.
+        monkeypatch.setattr(network, "rows_stable", lambda *shape: pytest.fail("checked"))
         assert network.worker_splits(rec_arch(), 300, 1) == [0, 300]
 
     @pytest.mark.parametrize("movable", [True, False])
@@ -210,10 +208,8 @@ class TestPopulationEvaluator:
                 return map(fn, splits)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        # Every size verifies, or none does and the split falls at blocks.
-        monkeypatch.setattr(network, "_BUCKETS", {})
-        monkeypatch.setattr(network, "_probe_buckets",
-                            lambda fan_in, fan_out, sizes: list(sizes) if movable else [])
+        # Every shape's rows are stable, or none are and the split falls at blocks.
+        monkeypatch.setattr(network, "rows_stable", lambda *shape: movable)
         a = rec_arch()
         env = SwingUpParams(max_steps=20)
         for n, workers in ((300, 2), (300, 4), (100, 2)):

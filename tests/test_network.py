@@ -261,7 +261,7 @@ class TestBatchedPolicy:
     @pytest.mark.parametrize("mode", [NeuronMode.RECURRENT, NeuronMode.SIMPLE])
     @pytest.mark.parametrize("live", [512, 300, 100, 1])
     def test_forward_allocates_no_layer_plane(self, mode, live):
-        # Unit steps and every product, the leftover bucket too, write into
+        # Unit steps and every product, the leftover slice too, write into
         # the policy's own planes and scratch: a warm forward allocates the
         # action it returns and little else, at any live row count.
         a = Architecture((5, 128, 64, 1), mode, weight_seed=1)
@@ -269,7 +269,7 @@ class TestBatchedPolicy:
         net = BatchedPolicy(a, rng.normal(0, 1, (512, count_parameters(a))))
         net.keep(np.arange(live))
         obs = rng.normal(size=(live, 5))
-        net.forward(obs)  # probes the product buckets once per process
+        net.forward(obs)  # checks the products' shapes once per process
         tracemalloc.start()
         try:
             action = net.forward(obs)
@@ -371,16 +371,33 @@ class TestChampionCheckpoint:
         (lambda p: p.update(genome=True), "genome: must be a list"),
         (lambda p: p.update(genome="abc"), "genome: must be a list"),
         (lambda p: p.update(weight_checksum=5), "weight_checksum: must be"),
+        # Loaded with other weights, since a null checksum skipped the check.
+        (lambda p: p.update(weight_checksum=None) or p["arch"].update(weight_seed=7),
+         "weight_checksum: must be a string"),
         (lambda p: p.update(arch="recurrent"), "arch: must be a mapping"),
         (lambda p: p.update(arch=[5, 128, 64, 1]), "arch: must be a mapping"),
         (lambda p: p.update(arch=5), "arch: must be a mapping"),
     ], ids=["schema-2", "foreign-kind", "no-weight-std", "schema-true", "genome-true",
-            "genome-string", "checksum-int", "arch-string", "arch-list", "arch-number"])
+            "genome-string", "checksum-int", "checksum-null", "arch-string", "arch-list",
+            "arch-number"])
     def test_refused_field_named_with_path(self, tmp_path, edit, message):
         path = edited_reference(tmp_path, edit)
         with pytest.raises(CheckpointError) as exc:
             load_champion(path)
         assert message in str(exc.value) and str(path) in str(exc.value)
+
+    def test_plain_tanh_checksum_must_be_null(self, tmp_path):
+        # The baseline freezes no weights, so a checksum would check nothing.
+        a = Architecture((3, 4, 1), NeuronMode.PLAIN_TANH, weight_seed=5)
+        path = tmp_path / "champ.json"
+        save_champion(path, a, initial_genome(a))
+        assert load_champion(path)[0] == a
+        payload = json.loads(path.read_text())
+        payload["weight_checksum"] = weight_checksum(sample_weights(rec_arch((3, 4, 1), 5)))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="weight_checksum: must be null") as exc:
+            load_champion(path)
+        assert str(path) in str(exc.value)
 
     def older_file(self, tmp_path, kinds):
         """A champion file in the older format, which lists one output

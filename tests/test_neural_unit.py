@@ -184,11 +184,10 @@ class TestLayerStepsMatchScalarOracle:
 
 
 def test_block_products_with_rows_out_of_order(monkeypatch):
-    # Without buckets each row's product runs at its own place in its
-    # 128-row block, while ended rows' places in the live block are taken by
-    # rows from the end of the batch, often from another block.
-    monkeypatch.setattr(network, "_BUCKETS", {})
-    monkeypatch.setattr(network, "_probe_buckets", lambda *shape: [])
+    # Where rows are not stable each row's product runs at its own place in
+    # its 128-row block, while ended rows' places in the live block are
+    # taken by rows from the end of the batch, often from another block.
+    monkeypatch.setattr(network, "rows_stable", lambda *shape: False)
     arch = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
     genomes = staggered_population(arch, np.random.default_rng(2), chunks=2)
     moved_across = []
