@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -17,6 +19,9 @@ from .errors import ConfigError, DomainError
 from .schema import Real, at_least, check_fields, integer, positive
 
 log = logging.getLogger(__name__)
+
+# Rows of C per step of CMA-ES's elementwise covariance update.
+UPDATE_ROWS = 128
 
 
 def _check_fitnesses(fitnesses, expected):
@@ -82,6 +87,45 @@ class GeneticAlgorithm:
         self.parents = self.n_elite
 
 
+class _Product:
+    """``a @ b`` written into ``out`` on a thread of its own, so that it runs
+    beside whatever the caller does next. :meth:`result` joins the thread and
+    returns ``out``, or raises what the product raised. The thread drops
+    ``a`` and ``b`` when it is done, and no fork happens while it runs."""
+
+    THREAD_NAME = "evounits-product"
+
+    def __init__(self, a, b, out):
+        self.out, self.error = out, None
+        self._thread = threading.Thread(target=self._run, args=(a, b),
+                                        name=self.THREAD_NAME, daemon=True)
+        self._thread.start()
+
+    def _run(self, a, b):
+        try:
+            np.matmul(a, b, out=self.out)
+        except BaseException as error:  # re-raised by result()
+            self.error = error
+
+    def result(self):
+        self._thread.join()
+        if self.error is not None:
+            raise self.error
+        return self.out
+
+
+def _join_products():
+    """Wait for every product in flight, so that a forked process (a worker
+    of ``evaluate_population``'s pool) never copies BLAS halfway through one."""
+    for thread in threading.enumerate():
+        if thread.name == _Product.THREAD_NAME:
+            thread.join()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_join_products)
+
+
 class CmaEs:
     """Covariance matrix adaptation evolution strategy, canonical constants.
 
@@ -89,6 +133,11 @@ class CmaEs:
     rank-mu covariance updates, cumulative step-size adaptation. No fitness
     shaping beyond ranking (no weight decay penalty). ``tell`` updates
     ``cov`` in place.
+
+    C^-1/2 = (basis / scale) basis' does not depend on the fitness, so
+    ``ask`` starts it on a thread of its own and it runs while the
+    population is scored; ``tell`` joins it. The arithmetic is the same as
+    computed in line, so every bit is too.
     """
 
     STATE = ("mean", "sigma", "cov", "p_sigma", "p_c", "generation", "rng")
@@ -146,17 +195,25 @@ class CmaEs:
 
     def ask(self):
         basis, scale = self._update_eigensystem()
-        z = self.rng.standard_normal((self.popsize, self.dim))
-        y = z @ (basis * scale).T
-        self._pending = y, basis, scale
+        n = self.dim
+        z = self.rng.standard_normal((self.popsize, n))
+        # The order of allocation sets the peak RSS: the product's operands
+        # and output come while the scaled basis is alive, and that is freed
+        # before the population is scored, whose arrays then reuse its memory.
+        scaled = basis * scale
+        product = _Product(basis / scale, basis.T, np.empty((n, n)))
+        y = z @ scaled.T
+        del scaled
+        self._pending = y, product
         return self.mean + self.sigma * y
 
     def tell(self, fitnesses):
         if self._pending is None:
             raise DomainError("tell() before ask()")
         f = _check_fitnesses(fitnesses, self.popsize)
-        y, basis, scale = self._pending
+        y, product = self._pending
         self._pending = None
+        inv_sqrt = product.result()
         n = self.dim
 
         order = np.argsort(-f, kind="stable")
@@ -164,8 +221,6 @@ class CmaEs:
         y_w = self.weights @ y_sel
         self.mean = self.mean + self.sigma * y_w
 
-        work = basis / scale
-        inv_sqrt = work @ basis.T
         self.p_sigma = (1 - self.cs) * self.p_sigma + math.sqrt(
             self.cs * (2 - self.cs) * self.mueff
         ) * (inv_sqrt @ y_w)
@@ -178,20 +233,22 @@ class CmaEs:
         ) * y_w
 
         # C = (1 - c1 - cmu) C + c1 (p_c p_c' + delta_h C) + cmu rank_mu, then
-        # (C + C') / 2, in place but in that order, so every bit is kept;
-        # inv_sqrt and basis are read no more and hold rank_mu and p_c p_c'.
+        # (C + C') / 2, in place but in that order, so every bit is kept. The
+        # rank-one term is formed on blocks of rows, and inv_sqrt, read no
+        # more, holds rank_mu, so no n×n array is allocated here.
         rank_mu = np.matmul(y_sel.T * self.weights, y_sel, out=inv_sqrt)
-        outer = np.multiply(self.p_c[:, None], self.p_c[None, :], out=basis)
         delta_h = (1 - h_sigma) * self.cc * (2 - self.cc)
-        np.multiply(delta_h, self.cov, out=work)
-        np.add(outer, work, out=work)
-        work *= self.c1
-        self.cov *= 1 - self.c1 - self.cmu
-        self.cov += work
+        for lo in range(0, n, UPDATE_ROWS):
+            cov = self.cov[lo:lo + UPDATE_ROWS]
+            block = np.multiply(self.p_c[lo:lo + UPDATE_ROWS, None], self.p_c)
+            block += delta_h * cov
+            block *= self.c1
+            cov *= 1 - self.c1 - self.cmu
+            cov += block
         rank_mu *= self.cmu
         self.cov += rank_mu
-        np.add(self.cov, self.cov.T, out=work)
-        np.divide(work, 2.0, out=self.cov)
+        np.add(self.cov, self.cov.T, out=rank_mu)
+        np.divide(rank_mu, 2.0, out=self.cov)
         self.sigma *= math.exp((self.cs / self.damps) * (norm_ps / self.chi_n - 1))
         self.generation += 1
 

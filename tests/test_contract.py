@@ -4,10 +4,14 @@ batches and episode lengths.
 A candidate's fitness depends on its genome and the episode seeds alone
 where every frozen-weight product's rows are stable (``network.rows_stable``);
 where they are not, on its index modulo ``network.PRODUCT_ROWS`` too. Either
-way it is bitwise independent of the worker count, and an ``evaluate``
+way it is bitwise independent of the worker count, an ``evaluate``
 episode's score depends on its seed alone, not on how many episodes share
-its batch.
+its batch, and a run resumed from any of its checkpoints ends as the
+uninterrupted run does.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,8 +20,11 @@ from hypothesis import strategies as st
 from evounits import network
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
+from evounits.cli import main
+from evounits.config import from_dict
 from evounits.harness import evaluate, evaluate_population
 from evounits.neural_unit import NeuronMode
+from evounits.rundir import save_config
 
 ROWS = network.PRODUCT_ROWS
 
@@ -86,3 +93,53 @@ def test_episode_score_is_independent_of_n_episodes(task, n, base_seed, genome_s
         first = 0 if rows_stable(arch) else k - k % ROWS
         alone = evaluate(genome, arch, env, k - first + 1, base_seed + first).scores
         assert alone[-1] == scores[k]
+
+
+@st.composite
+def tiny_runs(draw):
+    """(config, generation): a ga-cmaes run of a few generations on a
+    5-h1-h2-1 unit-mode network with short episodes, checkpointed after
+    every generation, and the generation of one checkpoint, in the GA stage
+    or in the CMA-ES stage (from its hand-over on)."""
+    in_ga = draw(st.booleans())
+    ga_generations = draw(st.integers(2 if in_ga else 1, 4))
+    total = ga_generations + draw(st.integers(1, 3))
+    generation = draw(st.integers(1, ga_generations - 1) if in_ga
+                      else st.integers(ga_generations, total - 1))
+    cfg = from_dict({
+        "preset": "cartpole-recurrent",
+        "name": "tiny",
+        "env": {"max_steps": draw(st.integers(2, 40))},
+        "arch": {"layer_sizes": [5, draw(st.integers(1, 8)), draw(st.integers(1, 8)), 1],
+                 "neuron_mode": draw(st.sampled_from(["recurrent", "simple"]))},
+        "optimizer": {"total_generations": total, "ga_generations": ga_generations,
+                      "ga_pop": draw(st.integers(2, 8)), "cmaes_pop": draw(st.integers(2, 6)),
+                      "eval_every": draw(st.integers(1, 3)), "eval_episodes": 2},
+        "seeds": {"weight_seed": draw(st.integers(0, 2**32)),
+                  "master_seed": draw(st.integers(0, 10**6))},
+        "evaluation": {"final_eval_episodes": 2},
+        "run": {"checkpoint_every": 1},
+    })
+    return cfg, generation
+
+
+def run_outputs(out):
+    """A run directory's champion and eval bytes, and its history rows
+    without the wall-clock column."""
+    history = [row.rsplit(",", 1)[0] for row in (out / "history.csv").read_text().splitlines()]
+    return (out / "champion.json").read_bytes(), (out / "eval.json").read_bytes(), history
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(run=tiny_runs())
+def test_resumed_run_equals_the_uninterrupted_run(run):
+    cfg, generation = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_config(tmp / "cfg.yaml", cfg)
+        assert main(["train", "--config", str(tmp / "cfg.yaml"), "--out-dir",
+                     str(tmp / "run"), "--quiet"]) == 0
+        checkpoint = tmp / "run" / "checkpoints" / f"runner_gen{generation}.npz"
+        assert main(["resume", "--checkpoint", str(checkpoint), "--out-dir",
+                     str(tmp / "resumed"), "--quiet"]) == 0
+        assert run_outputs(tmp / "resumed") == run_outputs(tmp / "run")

@@ -1,23 +1,28 @@
+import faulthandler
 import math
+import multiprocessing
+import time
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from evounits import rundir
+from evounits import harness, optimizers, rundir
 from evounits.architecture import Architecture, count_parameters
 from evounits.cartpole import SwingUpParams
 from evounits.config import from_dict
 from evounits.errors import CheckpointError, ConfigError, DomainError
-from evounits.harness import PopulationEvaluator, evaluate, probe_layer
+from evounits.harness import PopulationEvaluator, evaluate, evaluate_population, probe_layer
 from evounits.neural_unit import NeuronMode
 from evounits.optimizers import (
+    UPDATE_ROWS,
     CmaEs,
     GeneticAlgorithm,
     OpenEs,
     PipelineConfig,
     PipelineRunner,
+    _Product,
     average_ranks,
 )
 
@@ -39,12 +44,21 @@ def checkpoint_round_trip(tmp_path, cfg, runner):
     return rundir.load_runner_checkpoint(path)["runner"]
 
 
-def reference_tell(es, fitnesses):
+def reference_ask(es):
+    """``CmaEs.ask`` as the textbook expression, computed in line; returns
+    the population and the (y, basis, scale) that :func:`reference_tell`
+    reads."""
+    basis, scale = es._update_eigensystem()
+    z = es.rng.standard_normal((es.popsize, es.dim))
+    y = z @ (basis * scale).T
+    return es.mean + es.sigma * y, (y, basis, scale)
+
+
+def reference_tell(es, asked, fitnesses):
     """``CmaEs.tell`` as the textbook expression, each n×n term a fresh
-    array; returns h_sigma."""
+    array, C^-1/2 computed in line; returns h_sigma."""
     f = np.asarray(fitnesses, dtype=np.float64)
-    y, basis, scale = es._pending
-    es._pending = None
+    y, basis, scale = asked
     n = es.dim
 
     order = np.argsort(-f, kind="stable")
@@ -75,6 +89,40 @@ def reference_tell(es, fitnesses):
     es.sigma *= math.exp((es.cs / es.damps) * (norm_ps / es.chi_n - 1))
     es.generation += 1
     return h_sigma
+
+
+def assert_tell_bitwise_as_reference():
+    """Over 25 generations at n = 100, ``ask`` and ``tell`` equal
+    :func:`reference_ask` and :func:`reference_tell` bitwise. The linear
+    fitness drives |p_sigma| up until h_sigma turns False, so both branches
+    of the rank-one update are covered."""
+    es = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
+    ref = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
+    stalled = []
+    for _ in range(25):
+        x = es.ask()
+        x_ref, asked = reference_ask(ref)
+        assert np.array_equal(x, x_ref)
+        es.tell(x[:, 0])
+        stalled.append(not reference_tell(ref, asked, x[:, 0]))
+        for name in ("cov", "mean", "p_sigma", "p_c"):
+            assert np.array_equal(getattr(es, name), getattr(ref, name)), name
+        assert es.sigma == ref.sigma
+        assert np.array_equal(es.cov, es.cov.T)
+    assert any(stalled) and not all(stalled)
+
+
+# Set by a slowed C^-1/2 product when it is done; pool workers fork after it.
+PRODUCTS_DONE = []
+_MEAN_SCORES = harness._mean_scores
+
+
+def _scores_forked_after_the_product(*args):
+    """``harness._mean_scores`` in a pool worker, checking that the worker
+    was forked after the product was done."""
+    if not PRODUCTS_DONE:
+        raise AssertionError("pool worker forked while the C^-1/2 product ran")
+    return _MEAN_SCORES(*args)
 
 
 def reference_ga(x0, popsize, elite_frac, seed, fitness, generations):
@@ -326,9 +374,13 @@ class TestCmaEs:
             assert np.array_equal(a.cov, a.cov.T)
             assert a.sigma > 0
 
-    def test_eigenvalue_floor_repairs_a_singular_covariance(self, caplog):
+    def test_eigenvalue_floor_repairs_a_singular_covariance(self, caplog, monkeypatch):
         # A rank-3 C at n = 20: its smallest eigenvalue reads -4.6e-15.
         es = CmaEs(np.zeros(20), sigma0=0.5, popsize=12, seed=0)
+        eigensystems = []
+        decompose = es._update_eigensystem
+        monkeypatch.setattr(es, "_update_eigensystem",
+                            lambda: eigensystems.append(decompose()) or eigensystems[-1])
         factor = np.random.default_rng(0).normal(size=(20, 3))
         es.cov = factor @ factor.T
         evals = np.linalg.eigh(es.cov)[0]  # as ask decomposes it
@@ -340,7 +392,8 @@ class TestCmaEs:
         # ask samples with every axis scale at least the floor's root; the
         # rebuilt C holds those eigenvalues up to eigh's rounding, so it is
         # positive definite.
-        assert np.all(es._pending[2] >= np.sqrt(floor))
+        scale = eigensystems[0][1]
+        assert np.all(scale >= np.sqrt(floor))
         eps = 20 * np.finfo(float).eps * evals.max()
         assert np.linalg.eigvalsh(es.cov)[0] >= floor - eps
         np.linalg.cholesky(es.cov)
@@ -393,24 +446,18 @@ class TestCmaEs:
         assert list(tmp_path.iterdir()) == []
 
     def test_tell_bitwise_as_reference_expression(self):
-        # The linear fitness drives |p_sigma| up until h_sigma turns False,
-        # so both branches of the rank-one update are covered.
-        es = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
-        ref = CmaEs(np.zeros(100), sigma0=0.5, seed=3)
-        stalled = []
-        for _ in range(25):
-            x = es.ask()
-            assert np.array_equal(x, ref.ask())
-            es.tell(x[:, 0])
-            stalled.append(not reference_tell(ref, x[:, 0]))
-            for name in ("cov", "mean", "p_sigma", "p_c"):
-                assert np.array_equal(getattr(es, name), getattr(ref, name)), name
-            assert es.sigma == ref.sigma
-            assert np.array_equal(es.cov, es.cov.T)
-        assert any(stalled) and not all(stalled)
+        assert_tell_bitwise_as_reference()
 
-    def test_tell_holds_at_most_two_square_temporaries(self):
-        # The textbook expression holds about five n×n arrays at once.
+    def test_tell_on_ragged_row_blocks_bitwise_as_reference(self, monkeypatch):
+        # n = 100 in blocks of 7 rows: fourteen blocks and a 2-row tail.
+        monkeypatch.setattr(optimizers, "UPDATE_ROWS", 7)
+        assert_tell_bitwise_as_reference()
+
+    def test_tell_allocates_no_square_array(self):
+        # The textbook expression holds about five n×n arrays at once; tell
+        # forms C's rank-one term on two blocks of UPDATE_ROWS rows and
+        # reuses C^-1/2's memory for the rank-mu term, so it allocates
+        # nothing n×n.
         n = 400
         es = CmaEs(np.zeros(n), sigma0=0.5, seed=0)
         f = sphere(es.ask())
@@ -421,7 +468,79 @@ class TestCmaEs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - held <= 2.5 * n * n * 8
+        assert peak - held <= (2 * UPDATE_ROWS + 4 * es.popsize) * n * 8
+
+    def test_ask_keeps_three_square_arrays_until_the_product_is_done(self):
+        # Beside C, ask keeps the eigenbasis, the basis over the axis scales
+        # and C^-1/2's output while the product runs; the scaled basis it
+        # samples with is gone before it returns. Once the product is done
+        # only its output is left.
+        n = 400
+        es = CmaEs(np.zeros(n), sigma0=0.5, seed=0)
+        es.tell(sphere(es.ask()))
+        square, rows = n * n * 8, 2 * es.popsize * n * 8  # y and the population
+        tracemalloc.start()
+        try:
+            x = es.ask()
+            kept, peak = tracemalloc.get_traced_memory()
+            es._pending[1].result()
+            done = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 3.5 * square + rows
+        assert peak <= 4.5 * square + rows
+        assert done <= 1.5 * square + rows
+        es.tell(sphere(x))
+
+    def test_failed_product_raises_in_tell(self, monkeypatch):
+        # An operand one row short makes the product raise on its thread, so
+        # C^-1/2's output is never written; tell raises that error before it
+        # reads the output or changes any state.
+        run = _Product._run
+        monkeypatch.setattr(_Product, "_run", lambda self, a, b: run(self, a, b[:-1]))
+        es = CmaEs(np.zeros(6), sigma0=0.5, popsize=12, seed=0)
+        x = es.ask()
+        state = {name: getattr(es, name).copy() for name in ("mean", "cov", "p_sigma", "p_c")}
+        with pytest.raises(ValueError, match="matmul"):
+            es.tell(sphere(x))
+        for name, value in state.items():
+            assert np.array_equal(getattr(es, name), value), name
+        assert es.sigma == 0.5 and es.generation == 0
+        with pytest.raises(DomainError, match="before ask"):
+            es.tell(sphere(x))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers are not forked from this process")
+    def test_pooled_generation_forks_after_the_product(self, monkeypatch):
+        # The product is slowed so that the pool forks while it runs; the
+        # fork waits for it (a forked BLAS call may hold its locks), and the
+        # generation equals the 1-worker one bitwise. A hang ends the run.
+        def slow(self, a, b):
+            time.sleep(0.3)
+            run(self, a, b)
+            PRODUCTS_DONE.append(True)
+
+        run = _Product._run
+        monkeypatch.setattr(_Product, "_run", slow)
+        arch = Architecture((5, 40, 40, 1), NeuronMode.RECURRENT)
+        env = SwingUpParams(max_steps=20)
+        generations = []
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            for workers in (1, 2):
+                if workers > 1:
+                    monkeypatch.setattr(harness, "_mean_scores", _scores_forked_after_the_product)
+                PRODUCTS_DONE.clear()
+                es = CmaEs(np.zeros(count_parameters(arch)), sigma0=0.5, popsize=16, seed=0)
+                x = es.ask()
+                assert not PRODUCTS_DONE
+                f = evaluate_population(arch, env, x, [0], workers=workers)
+                es.tell(f)
+                generations.append((f, es.mean, es.cov, es.p_sigma, es.p_c, es.sigma))
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        for serial, pooled in zip(*generations):
+            assert np.array_equal(serial, pooled)
 
     def test_checkpoint_round_trip_mid_run(self, tmp_path):
         # A small population next to n: the lazy eigendecomposition cadence of
