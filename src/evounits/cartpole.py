@@ -63,46 +63,39 @@ def initial_state(params: SwingUpParams, seed):
     return np.array([0.0, 0.0, np.pi, 0.0]) + noise
 
 
-def step_reward(params: SwingUpParams, x, theta, cos_theta=None):
-    """Per-step reward in [0, 1]: upright-ness times centered-ness.
-
-    ``cos_theta``, when given, is ``np.cos(theta)`` computed by the caller.
-    """
-    if cos_theta is None:
-        cos_theta = np.cos(theta)
+def step_reward(params: SwingUpParams, x, cos_theta):
+    """Per-step reward in [0, 1]: upright-ness times centered-ness, from the
+    cart position ``x`` and the pole's ``cos_theta``."""
     r_theta = (cos_theta + 1.0) / 2.0
     r_x = np.cos((x / params.x_threshold) * (np.pi / 2.0))
     return r_theta * np.maximum(r_x, 0.0)
 
 
 class BatchedSwingUp:
-    """The running instances of a batch of n episodes, advanced in lockstep.
+    """The running instances of a batch of episodes, advanced in lockstep.
 
-    ``reset`` starts all n instances. ``step`` advances every instance held
-    and flags in ``done`` those whose episode ended with that step; ``keep``
-    then drops them, so stepping never spends work on an ended episode.
-    A single episode is a batch of n = 1.
+    ``reset`` starts one instance per seed. ``step`` advances every instance
+    held and flags in ``done`` those whose episode ended with that step;
+    ``keep`` then drops them, so stepping never spends work on an ended
+    episode. A single episode is a batch of one seed.
     """
 
     obs_dim = 5
     action_dim = 1
 
-    def __init__(self, params: SwingUpParams, n: int):
+    def __init__(self, params: SwingUpParams):
         self.params = params
-        self.n = n
         self.state = np.zeros((4, 0))
         self.t = 0
         self.done = np.zeros(0, dtype=bool)
 
     def reset(self, seeds):
-        if len(seeds) != self.n:
-            raise ConfigError(f"need {self.n} seeds, got {len(seeds)}")
         # Each distinct seed is drawn once; a training generation shares one.
         distinct, inverse = np.unique(seeds, return_inverse=True)
         cols = np.stack([initial_state(self.params, int(s)) for s in distinct], axis=1)
         self.state = cols.take(inverse, axis=1)
         self.t = 0
-        self.done = np.zeros(self.n, dtype=bool)
+        self.done = np.zeros(len(seeds), dtype=bool)
         return self._observe(np.cos(self.state[2]))
 
     def _observe(self, cos_theta):
@@ -133,7 +126,7 @@ class BatchedSwingUp:
         theta += theta_dot * p.dt
         self.t += 1
         cos_theta = np.cos(theta)
-        reward = step_reward(p, x, theta, cos_theta)
+        reward = step_reward(p, x, cos_theta)
         if self.t >= p.max_steps:
             self.done = np.ones(x.shape, dtype=bool)
         else:

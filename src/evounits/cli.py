@@ -38,7 +38,7 @@ def _run_training(cfg: ExperimentConfig, out_dir: Path, runner=None, quiet=False
         except Exception as exc:  # the candidates are dumped for post-mortem
             path = rundir.save_failed_genomes(out_dir, generation, genomes)
             raise EvaluationError(f"evaluation failed at generation {generation}: {exc}; "
-                                  f"candidates dumped to {path}", genome_path=str(path)) from exc
+                                  f"candidates dumped to {path}") from exc
 
     def periodic_eval(genome):
         report = evaluate(

@@ -12,7 +12,7 @@ from .architecture import Architecture
 from .cartpole import SwingUpParams, check_arch
 from .errors import ConfigError
 from .optimizers import PipelineConfig
-from .schema import at_least, check_fields, to_plain
+from .schema import at_least, check_fields, check_value, to_plain
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -156,12 +156,12 @@ def _section(data, name, cls, every_field=False, **filled):
 def from_dict(data: dict, overrides: dict = None) -> ExperimentConfig:
     """Resolve a config mapping: its preset, then ``overrides``, then every
     section built and checked."""
-    version = data.get("schema_version", CONFIG_SCHEMA_VERSION)
+    version = check_value("schema_version", data.get("schema_version", CONFIG_SCHEMA_VERSION), int)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported version {version}")
     preset = data.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if check_value("preset", preset, str) not in PRESETS:
             raise ConfigError(
                 f"preset: unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )

@@ -18,8 +18,4 @@ class CheckpointError(EvoUnitsError):
 
 
 class EvaluationError(EvoUnitsError):
-    """A fitness evaluation failed; carries the path of the dumped genome."""
-
-    def __init__(self, message, genome_path=None):
-        super().__init__(message)
-        self.genome_path = genome_path
+    """A fitness evaluation failed; the message names the dumped candidates' path."""

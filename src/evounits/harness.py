@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .neural_unit import NeuronMode
 from .network import BatchedPolicy, worker_splits
 from .rundir import write_eval_json  # noqa: F401  the name perfbench/ writes eval.json by
-from .schema import integer
+from .schema import check_value
 
 # Evaluation episode seeds live far away from training seeds (which count up
 # from the master seed by generation).
@@ -70,7 +70,7 @@ def _scores(arch, env_params, genomes, seeds, trajectory=None):
     theta_dot, action, reward) tuple per step of row 0's episode.
     """
     net = BatchedPolicy(arch, genomes)
-    env = BatchedSwingUp(env_params, len(seeds))
+    env = BatchedSwingUp(env_params)
     obs = env.reset(seeds)
     totals = np.zeros(len(seeds))
     while net.rows.size:
@@ -105,6 +105,7 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     :func:`~evounits.network.worker_splits`).
     """
     check_arch(arch)
+    workers = check_value("workers", workers, int, at_least=1)
     genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
     bounds = worker_splits(arch, genomes.shape[0], workers)
     if len(bounds) == 2:
@@ -124,13 +125,10 @@ class PopulationEvaluator:
                  episodes_per_candidate=1, train_seed_base=0, workers=1):
         self.arch = arch
         self.env_params = env_params
-        self.episodes = integer("episodes_per_candidate", episodes_per_candidate)
-        if self.episodes < 1:
-            raise ConfigError("episodes_per_candidate: must be at least 1")
-        self.train_seed_base = integer("train_seed_base", train_seed_base)
-        if self.train_seed_base < 0:
-            raise ConfigError(f"train_seed_base: must be non-negative, got {train_seed_base}")
-        self.workers = integer("workers", workers)
+        self.episodes = check_value("episodes_per_candidate", episodes_per_candidate, int,
+                                    at_least=1)
+        self.train_seed_base = check_value("train_seed_base", train_seed_base, int, at_least=0)
+        self.workers = check_value("workers", workers, int, at_least=1)
 
     def seeds_for_generation(self, generation):
         base = self.train_seed_base + generation * self.episodes
@@ -147,12 +145,8 @@ def evaluate(genome, arch: Architecture, env_params: SwingUpParams,
              n_episodes, base_seed, genome_id="genome", trajectory=None) -> EvalReport:
     """Score one genome over episodes seeded base_seed .. base_seed+n-1; a
     ``trajectory`` list gets the first episode's steps, as :func:`_scores` does."""
-    n_episodes = integer("n_episodes", n_episodes)
-    base_seed = integer("base_seed", base_seed)
-    if n_episodes < 1:
-        raise ConfigError("n_episodes: must be at least 1")
-    if base_seed < 0:
-        raise ConfigError(f"base_seed: must be non-negative, got {base_seed}")
+    n_episodes = check_value("n_episodes", n_episodes, int, at_least=1)
+    base_seed = check_value("base_seed", base_seed, int, at_least=0)
     check_arch(arch)
     genome = np.asarray(genome, dtype=np.float64)
     genomes = np.broadcast_to(genome, (n_episodes, genome.size))
@@ -176,11 +170,9 @@ def probe_layer(genome, arch: Architecture, layer, n_points=1000, lo=-3.0,
     mode = arch.neuron_mode
     if mode is NeuronMode.PLAIN_TANH:
         raise ConfigError("neuron_mode: probes apply to unit-mode networks only")
-    layer = integer("layer", layer)
-    n_points = integer("n_points", n_points)
-    if n_points < 1:
-        raise ConfigError(f"n_points: must be at least 1, got {n_points}")
-    if not (0 <= layer < arch.n_layers):
+    layer = check_value("layer", layer, int, at_least=0)
+    n_points = check_value("n_points", n_points, int, at_least=1)
+    if layer >= arch.n_layers:
         raise ConfigError(f"layer: index {layer} out of range for {arch.n_layers} layers")
     net = BatchedPolicy(arch, [genome, genome])
     inputs = np.linspace(lo, hi, n_points)

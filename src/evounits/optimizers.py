@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .schema import Real, at_least, check_fields, integer, positive
+from .schema import Real, at_least, check_fields, check_value, positive
 
 log = logging.getLogger(__name__)
 
@@ -48,11 +48,12 @@ class GeneticAlgorithm:
 
     def __init__(self, x0, popsize=512, elite_frac=0.125, mutation_std=1.0, seed=None):
         self.dim = len(x0)
-        self.popsize = integer("popsize", popsize)
+        self.popsize = check_value("popsize", popsize, int, at_least=2)
+        elite_frac = check_value("elite_frac", elite_frac, float, positive=True)
         self.n_elite = max(1, int(round(self.popsize * elite_frac)))
         if self.n_elite >= self.popsize:
             raise ConfigError("elite_frac: must leave room for offspring")
-        self.mutation_std = float(mutation_std)
+        self.mutation_std = check_value("mutation_std", mutation_std, float, positive=True)
         self.rng = np.random.default_rng(seed)
         self.elites = np.tile(np.asarray(x0, dtype=np.float64), (self.n_elite, 1))
         self.parents = 1
@@ -146,11 +147,9 @@ class CmaEs:
     def __init__(self, x0, sigma0=0.5, popsize=None, seed=None):
         x0 = np.asarray(x0, dtype=np.float64)
         n = self.dim = len(x0)
-        if sigma0 <= 0:
-            raise ConfigError("sigma0: must be positive")
-        self.popsize = 4 + int(3 * math.log(n)) if popsize is None else integer("popsize", popsize)
-        if self.popsize < 2:
-            raise ConfigError("popsize: CMA-ES needs at least 2 candidates")
+        sigma0 = check_value("sigma0", sigma0, float, positive=True)
+        self.popsize = (4 + int(3 * math.log(n)) if popsize is None
+                        else check_value("popsize", popsize, int, at_least=2))
         lam = self.popsize
         mu = lam // 2
         w = np.log((lam + 1) / 2.0) - np.log(np.arange(1, mu + 1))
@@ -169,7 +168,7 @@ class CmaEs:
         self.chi_n = math.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n**2))
 
         self.mean = x0.copy()
-        self.sigma = float(sigma0)
+        self.sigma = sigma0
         self.cov = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)
@@ -268,12 +267,12 @@ class OpenEs:
     SYMMETRIC = ()
 
     def __init__(self, x0, sigma=0.1, lr=0.01, popsize=128, seed=None):
-        self.popsize = integer("popsize", popsize)
-        if popsize % 2 != 0:
+        self.popsize = check_value("popsize", popsize, int, at_least=2)
+        if self.popsize % 2 != 0:
             raise ConfigError("popsize: mirrored sampling needs an even population")
         self.dim = len(x0)
-        self.sigma = float(sigma)
-        self.lr = float(lr)
+        self.sigma = check_value("sigma", sigma, float, positive=True)
+        self.lr = check_value("lr", lr, float, positive=True)
         self.center = np.asarray(x0, dtype=np.float64).copy()
         self.rng = np.random.default_rng(seed)
         self._pending = None

@@ -22,7 +22,7 @@ from .config import ExperimentConfig, _section, from_dict, to_dict
 from .errors import CheckpointError, ConfigError, DomainError
 from .neural_unit import NeuronMode
 from .optimizers import GenerationRecord, GeneticAlgorithm, PipelineRunner
-from .schema import Real, check_fields, check_value, is_finite, is_int, to_plain
+from .schema import Real, at_least, check_fields, check_value, is_finite, to_plain
 
 CHECKPOINT_SCHEMA_VERSION = 1
 RUNNER_SCHEMA_VERSION = 5
@@ -167,9 +167,9 @@ def load_champion(path):
     if not isinstance(payload, dict):
         raise CheckpointError(f"cannot decode checkpoint {path}: no JSON object")
     try:
-        version = payload.get("schema_version")
-        if not is_int(version) or version != CHECKPOINT_SCHEMA_VERSION:
-            raise ConfigError(f"schema_version: {version!r}; only version "
+        version = check_value("schema_version", payload.get("schema_version"), int)
+        if version != CHECKPOINT_SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: {version}; only version "
                               f"{CHECKPOINT_SCHEMA_VERSION} loads")
         if payload.get("kind") != "champion":
             raise ConfigError(f"kind: {payload.get('kind')!r} is no champion")
@@ -220,7 +220,7 @@ class RunMeta:
     config: dict
     out_dir: str
     stage: str
-    generation: int
+    generation: int = at_least(0)
     best_fitness: Real
     champion_eval_mean: Real
     history: list
@@ -271,11 +271,11 @@ def load_runner_checkpoint(path):
         meta = None
     if not isinstance(meta, dict):
         raise CheckpointError(f"meta: missing, or no UTF-8 JSON object, in {path}")
-    version = meta.pop("schema_version", None)
-    if version != RUNNER_SCHEMA_VERSION:
-        raise CheckpointError(f"schema_version: {path} has version {version}"
-                              f"; only version {RUNNER_SCHEMA_VERSION} resumes")
     try:
+        version = check_value("schema_version", meta.pop("schema_version", None), int)
+        if version != RUNNER_SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: {version}; only version "
+                              f"{RUNNER_SCHEMA_VERSION} resumes")
         meta = _section({"meta": meta}, "meta", RunMeta)
         history = _history(meta.history)
     except ConfigError as exc:

@@ -1,5 +1,6 @@
-"""One check of every field of a frozen dataclass, a config section or a
-record of a file, read off its annotation and bounds."""
+"""One check of every value: a field of a frozen dataclass, a config section
+or a record of a file, read off its annotation and bounds, or an argument,
+given its kind and bounds."""
 
 from __future__ import annotations
 
@@ -65,23 +66,25 @@ def _rule(kind):
 _hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 
-def check_value(name, value, kind):
-    """``value`` stored as the annotation ``kind``, as :func:`check_fields`
-    checks a field; ConfigError names ``name``."""
+def check_value(name, value, kind, at_least=None, positive=False):
+    """``value`` stored as the annotation ``kind``, at least ``at_least`` and,
+    with ``positive``, above 0, as :func:`check_fields` checks a field;
+    ConfigError names ``name``."""
     accepts, convert, what = _rule(kind)
     if not accepts(value):
         raise ConfigError(f"{name}: must be {what}, got {value!r}")
-    return convert(value)
-
-
-# ``value`` as an int; ConfigError names ``name`` unless it is a non-bool integer.
-integer = functools.partial(check_value, kind=int)
+    stored = convert(value)
+    if at_least is not None and stored < at_least:
+        raise ConfigError(f"{name}: must be at least {at_least}, got {value}")
+    if positive and not stored > 0:
+        raise ConfigError(f"{name}: must be positive, got {value}")
+    return stored
 
 
 def check_fields(obj):
     """Check every field of the frozen dataclass ``obj`` against its
-    annotation and bounds, and store it as that type; ConfigError names the
-    field.
+    annotation and bounds by :func:`check_value`, and store it as that type;
+    ConfigError names the field.
 
     An int is an integer that is not a bool; a float is a finite real number,
     an int included, and a Real is any real number, NaN and +-inf included; a
@@ -90,12 +93,7 @@ def check_fields(obj):
     """
     kinds = _hints(type(obj))
     for f in fields(obj):
-        value, bounds = getattr(obj, f.name), f.metadata
-        stored = check_value(f.name, value, kinds[f.name])
-        if "at_least" in bounds and stored < bounds["at_least"]:
-            raise ConfigError(f"{f.name}: must be at least {bounds['at_least']}, got {value}")
-        if bounds.get("positive") and not stored > 0:
-            raise ConfigError(f"{f.name}: must be positive, got {value}")
+        stored = check_value(f.name, getattr(obj, f.name), kinds[f.name], **f.metadata)
         object.__setattr__(obj, f.name, stored)
 
 

@@ -67,7 +67,7 @@ class FreezingSwingUp:
         theta = np.where(alive, theta + theta_dot * p.dt, theta)
         self.state = np.stack([x, x_dot, theta, theta_dot])
         self.t += 1
-        reward = np.where(alive, step_reward(p, x, theta), 0.0)
+        reward = np.where(alive, step_reward(p, x, np.cos(theta)), 0.0)
         self.done |= np.abs(x) > p.x_threshold
         if self.t >= p.max_steps:
             self.done[:] = True

@@ -9,7 +9,7 @@ from evounits.cartpole import (
     initial_state,
     step_reward,
 )
-from evounits.errors import ConfigError, DomainError
+from evounits.errors import DomainError
 from evounits.harness import evaluate
 from evounits.neural_unit import NeuronMode
 from rollout_oracle import FreezingSwingUp
@@ -47,13 +47,13 @@ def mechanical_energy(params, state):
 
 class TestReset:
     def test_seeded_reset_reproducible(self):
-        env = BatchedSwingUp(SwingUpParams(), 1)
+        env = BatchedSwingUp(SwingUpParams())
         o1 = env.reset([123])
         o2 = env.reset([123])
         assert np.array_equal(o1, o2)
 
     def test_observation_layout(self):
-        env = BatchedSwingUp(SwingUpParams(), 1)
+        env = BatchedSwingUp(SwingUpParams())
         obs = env.reset([0])
         assert obs.shape == (1, 5)
         # Pole hangs down at reset.
@@ -70,23 +70,23 @@ class TestReset:
 
 class TestStep:
     def test_reward_upright_centered(self):
-        assert step_reward(SwingUpParams(), 0.0, 0.0) == pytest.approx(1.0)
+        assert step_reward(SwingUpParams(), 0.0, np.cos(0.0)) == pytest.approx(1.0)
 
     def test_reward_hanging_is_zero(self):
         p = SwingUpParams()
-        assert step_reward(p, 0.0, np.pi) == pytest.approx(0.0, abs=1e-15)
-        assert step_reward(p, 1.7, np.pi) == pytest.approx(0.0, abs=1e-15)
+        assert step_reward(p, 0.0, np.cos(np.pi)) == pytest.approx(0.0, abs=1e-15)
+        assert step_reward(p, 1.7, np.cos(np.pi)) == pytest.approx(0.0, abs=1e-15)
 
     def test_reward_bounds_everywhere(self):
         p = SwingUpParams()
         rng = np.random.default_rng(0)
         x = rng.uniform(-3, 3, 1000)
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, 1000)
-        r = step_reward(p, x, theta)
+        r = step_reward(p, x, np.cos(theta))
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_zero_action_pole_stays_down(self):
-        env = BatchedSwingUp(SwingUpParams(), 1)
+        env = BatchedSwingUp(SwingUpParams())
         env.reset([3])
         start = env.state[:, 0].copy()
         for _ in range(10):
@@ -98,7 +98,7 @@ class TestStep:
     def test_semi_implicit_matches_fine_reference(self):
         # Coarse semi-implicit Euler vs RK4 at dt/10, 10 coarse steps, no force.
         p = SwingUpParams(friction=0.0)
-        env = BatchedSwingUp(p, 1)
+        env = BatchedSwingUp(p)
         env.reset([3])
         start = env.state[:, 0].copy()
         for _ in range(10):
@@ -107,14 +107,14 @@ class TestStep:
         np.testing.assert_allclose(env.state[:, 0], ref, atol=5e-4, rtol=0)
 
     def test_step_after_done_raises(self):
-        env = BatchedSwingUp(SwingUpParams(max_steps=2), 2)
+        env = BatchedSwingUp(SwingUpParams(max_steps=2))
         env.reset([0, 1])
         env.step(np.zeros(2))
         env.step(np.zeros(2))
         with pytest.raises(DomainError):
             env.step(np.zeros(2))
         # A row that ended and was not dropped with keep() is caught too.
-        env = BatchedSwingUp(SwingUpParams(), 2)
+        env = BatchedSwingUp(SwingUpParams())
         env.reset([0, 1])
         while not env.step(np.array([1.0, 0.0]))[2].any():
             pass
@@ -127,7 +127,7 @@ class TestStep:
         env.step(np.zeros(1))
 
     def test_nonfinite_action_rejected(self):
-        env = BatchedSwingUp(SwingUpParams(), 1)
+        env = BatchedSwingUp(SwingUpParams())
         env.reset([0])
         with pytest.raises(DomainError):
             env.step(np.array([np.nan]))
@@ -136,7 +136,7 @@ class TestStep:
         actions = np.sin(np.arange(200) * 0.07)
         trajectories = []
         for _ in range(2):
-            env = BatchedSwingUp(SwingUpParams(), 1)
+            env = BatchedSwingUp(SwingUpParams())
             env.reset([11])
             states = []
             for a in actions:
@@ -149,8 +149,8 @@ class TestStep:
 
     def test_mirror_symmetry_exact(self):
         p = SwingUpParams()
-        env_a = BatchedSwingUp(p, 1)
-        env_b = BatchedSwingUp(p, 1)
+        env_a = BatchedSwingUp(p)
+        env_b = BatchedSwingUp(p)
         env_a.reset([0])
         start = env_a.state.copy()
         env_b.reset([0])
@@ -179,9 +179,9 @@ class TestBatchedEnv:
     def test_matches_single_instance(self):
         p = SwingUpParams()
         seeds = [4, 9, 17]
-        batched = BatchedSwingUp(p, 3)
+        batched = BatchedSwingUp(p)
         obs_b = batched.reset(seeds)
-        singles = [BatchedSwingUp(p, 1) for _ in seeds]
+        singles = [BatchedSwingUp(p) for _ in seeds]
         obs_s = np.concatenate([env.reset([s]) for env, s in zip(singles, seeds)])
         np.testing.assert_allclose(obs_b, obs_s, atol=0)
         rng = np.random.default_rng(0)
@@ -196,14 +196,14 @@ class TestBatchedEnv:
     def test_reset_with_repeated_seeds(self):
         p = SwingUpParams(reset_noise=1.0)
         seeds = [5, 3, 5, 5, 3]
-        env = BatchedSwingUp(p, len(seeds))
+        env = BatchedSwingUp(p)
         env.reset(seeds)
         want = np.stack([initial_state(p, s) for s in seeds], axis=1)
         assert np.array_equal(env.state, want)
 
     def test_keep_drops_ended_rows(self):
         p = SwingUpParams(max_steps=1000)
-        env = BatchedSwingUp(p, 3)
+        env = BatchedSwingUp(p)
         ref = FreezingSwingUp(p, 3)
         env.reset([0, 1, 2])
         ref.reset([0, 1, 2])
@@ -233,7 +233,7 @@ class TestBatchedEnv:
         assert np.array_equal(ref.state[:, 0], frozen)  # the oracle froze it
 
     def test_max_steps_ends_every_row(self):
-        env = BatchedSwingUp(SwingUpParams(max_steps=3), 2)
+        env = BatchedSwingUp(SwingUpParams(max_steps=3))
         env.reset([0, 1])
         for _ in range(2):
             assert not env.step(np.zeros(2))[2].any()
@@ -241,10 +241,14 @@ class TestBatchedEnv:
         env.keep(np.flatnonzero(~env.done))
         assert env.state.shape == (4, 0)
 
-    def test_seed_count_checked(self):
-        env = BatchedSwingUp(SwingUpParams(), 3)
-        with pytest.raises(ConfigError):
-            env.reset([1, 2])
+    def test_sized_by_seeds(self):
+        # One instance per seed of the latest reset, whatever it held before.
+        env = BatchedSwingUp(SwingUpParams())
+        assert env.reset([1, 2, 3]).shape == (3, 5)
+        assert env.reset([1, 2]).shape == (2, 5)
+        assert env.state.shape == (4, 2) and env.done.shape == (2,)
+        _, reward, done = env.step(np.zeros(2))
+        assert reward.shape == done.shape == (2,)
 
 
 def constant_policy_genome(value, sizes=(5, 4, 1)):

@@ -501,12 +501,15 @@ def edited_checkpoint(trained_run, tmp_path, edit, generation=2):
 
 
 def resume_fails(ckpt, tmp_path, capsys, field, code=2):
-    """Resume from ``ckpt`` fails with ``code``, names ``field`` and makes no run."""
+    """Resume from ``ckpt`` fails with ``code``, names ``field`` (and, where
+    the checkpoint is refused, its path) and makes no run."""
     out = tmp_path / "resumed"
     assert main(["resume", "--checkpoint", str(ckpt), "--out-dir", str(out),
                  "--quiet"]) == code
     assert not out.exists()
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert code != 2 or str(ckpt) in err
 
 
 UNPICKLED = []
@@ -608,6 +611,11 @@ class TestResume:
                      id="old-version"),
         pytest.param(2, lambda m: m["meta"].update(schema_version=4), "schema_version",
                      id="version-4"),
+        # 5.0 resumed, and "5" was refused as version 5.
+        pytest.param(2, lambda m: m["meta"].update(schema_version=5.0),
+                     "schema_version: must be an integer, got 5.0", id="version-float"),
+        pytest.param(2, lambda m: m["meta"].update(schema_version="5"),
+                     "schema_version: must be an integer, got '5'", id="version-string"),
         pytest.param(2, lambda m: m.pop("optimizer.cov"), "optimizer.cov", id="no-cov"),
         pytest.param(2, lambda m: m.pop("best"), "best", id="no-best"),
         pytest.param(2, lambda m: m.pop("meta"), "meta", id="no-meta"),
@@ -615,6 +623,8 @@ class TestResume:
                      id="no-generation"),
         pytest.param(2, lambda m: m["meta"].update(generation=True),
                      "meta.generation: must be an integer", id="generation-bool"),
+        pytest.param(2, lambda m: m["meta"].update(generation=-4),
+                     "meta.generation: must be at least 0, got -4", id="negative-generation"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].update(generation=True),
                      "optimizer.generation: must be an integer", id="cma-generation-bool"),
         pytest.param(2, lambda m: m["meta"]["optimizer"].pop("rng"), "optimizer.rng",

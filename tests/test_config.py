@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from evounits.architecture import Architecture
+from evounits.cli import main
 from evounits.config import PRESETS, from_dict, from_preset, to_dict
 from evounits.errors import ConfigError
 from evounits.neural_unit import NeuronMode
@@ -52,6 +53,30 @@ def test_every_preset_round_trips_through_its_mapping(name):
 def test_arch_must_fit_the_task(sizes):
     with pytest.raises(ConfigError, match="arch.layer_sizes"):
         from_preset("cartpole-recurrent", {"arch": {"layer_sizes": sizes}})
+
+
+# A config that trains in well under a second, were it taken.
+TINY = {
+    "preset": "cartpole-recurrent", "env": {"max_steps": 10},
+    "arch": {"layer_sizes": [5, 4, 1]}, "evaluation": {"final_eval_episodes": 1},
+    "optimizer": {"total_generations": 1, "ga_generations": 1, "ga_pop": 4,
+                  "eval_every": 1, "eval_episodes": 1},
+}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("preset", ["cartpole-recurrent"], "preset: must be a str, got ['cartpole-recurrent']"),
+    ("schema_version", True, "schema_version: must be an integer, got True"),
+    ("schema_version", 1.0, "schema_version: must be an integer, got 1.0"),
+], ids=["preset-list", "version-true", "version-float"])
+def test_top_level_field_named_before_compute(tmp_path, capsys, field, value, message):
+    # The list crashed with a TypeError; true and 1.0 were read as version 1.
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({**TINY, field: value}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out-dir", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, field", [

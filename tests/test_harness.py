@@ -107,7 +107,7 @@ class TestPopulationEvaluator:
             assert fits[i] == solo.mean
 
     def test_negative_train_seed_base_rejected(self):
-        with pytest.raises(ConfigError, match="^train_seed_base: must be non-negative"):
+        with pytest.raises(ConfigError, match="^train_seed_base: must be at least 0, got -3"):
             PopulationEvaluator(rec_arch(), ENV, train_seed_base=-3)
 
     def test_seeds_advance_with_generation(self):

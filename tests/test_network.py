@@ -146,7 +146,7 @@ class TestPolicyForward:
         # rejects before it touches the state.
         a = rec_arch((5, 4, 1))
         net = BatchedPolicy(a, np.random.default_rng(3).normal(size=count_parameters(a)))
-        env = BatchedSwingUp(SwingUpParams(), 1)
+        env = BatchedSwingUp(SwingUpParams())
         obs = env.reset([0])
         obs[0, 1] = np.nan
         with pytest.raises(DomainError, match="finite"):
@@ -367,7 +367,7 @@ class TestChampionCheckpoint:
         (lambda p: p.update(kind="runner"), "kind: "),
         (lambda p: p["arch"].pop("weight_std"), "arch.weight_std: missing"),
         # Each of these loaded as something else, or failed without naming its field.
-        (lambda p: p.update(schema_version=True), "schema_version: True"),
+        (lambda p: p.update(schema_version=True), "schema_version: must be an integer, got True"),
         (lambda p: p.update(genome=True), "genome: must be a list"),
         (lambda p: p.update(genome="abc"), "genome: must be a list"),
         (lambda p: p.update(weight_checksum=5), "weight_checksum: must be"),

@@ -151,6 +151,8 @@ _ARCH = Architecture((5, 4, 1), NeuronMode.RECURRENT)
 _GENOME = np.zeros(count_parameters(_ARCH))
 _evaluator = partial(PopulationEvaluator, _ARCH, SwingUpParams())
 _evaluate = partial(evaluate, _GENOME, _ARCH, SwingUpParams(max_steps=10))
+_evaluate_population = partial(evaluate_population, _ARCH, SwingUpParams(max_steps=10),
+                               _GENOME, [0])
 NON_INTEGER_ARGS = [
     (partial(GeneticAlgorithm, np.zeros(3)), "popsize", 8.7),
     (partial(GeneticAlgorithm, np.zeros(3)), "popsize", True),
@@ -159,6 +161,7 @@ NON_INTEGER_ARGS = [
     (_evaluator, "episodes_per_candidate", 2.5),
     (_evaluator, "train_seed_base", 1.9),
     (_evaluator, "workers", 1.5),
+    (_evaluate_population, "workers", 2.5),
     (partial(_evaluate, base_seed=1), "n_episodes", 2.0),
     (partial(_evaluate, 2), "base_seed", 1.5),
     (partial(probe_layer, _GENOME, _ARCH), "layer", 1.0),
@@ -181,11 +184,34 @@ OUT_OF_RANGE_ARGS = [
     (partial(CmaEs, np.zeros(3)), "sigma0", 0),
     (partial(PipelineRunner, PipelineConfig(total_generations=2, ga_generations=1), 3), "x0",
      np.zeros(4)),
+    # Each of these was taken: NaN or 0 as a step size, NaN as a rate or an
+    # elite share, a negative mutation scale, one worker for none or for -3,
+    # and a population too small to rank or to hold offspring.
+    (partial(CmaEs, np.zeros(3)), "sigma0", float("nan")),
+    (_evaluator, "workers", 0),
+    (_evaluator, "workers", -3),
+    (_evaluate_population, "workers", 0),
+    (partial(GeneticAlgorithm, np.zeros(3)), "popsize", 1),
+    (partial(OpenEs, np.zeros(3)), "popsize", 0),
+    (partial(GeneticAlgorithm, np.zeros(3)), "elite_frac", float("nan")),
+    (partial(GeneticAlgorithm, np.zeros(3)), "mutation_std", -1.0),
+    (partial(OpenEs, np.zeros(3)), "sigma", 0.0),
+    (partial(OpenEs, np.zeros(3)), "lr", float("nan")),
 ]
 
 
-@pytest.mark.parametrize("make, arg, value", OUT_OF_RANGE_ARGS,
-                         ids=[f"{m.func.__name__}-{a}" for m, a, _ in OUT_OF_RANGE_ARGS])
+def _ids(table):
+    """``function-argument`` of each row, with ``=value`` where an earlier
+    row has the same function and argument."""
+    seen, ids = set(), []
+    for make, arg, value in table:
+        key = f"{make.func.__name__}-{arg}"
+        ids.append(f"{key}={value}" if key in seen else key)
+        seen.add(key)
+    return ids
+
+
+@pytest.mark.parametrize("make, arg, value", OUT_OF_RANGE_ARGS, ids=_ids(OUT_OF_RANGE_ARGS))
 def test_out_of_range_argument_named(make, arg, value):
     with pytest.raises(ConfigError, match=f"^{arg}: "):
         make(**{arg: value})
