@@ -5,6 +5,7 @@ weight-trainable tanh baseline.
 from __future__ import annotations
 
 import functools
+import logging
 
 import numpy as np
 
@@ -14,12 +15,14 @@ from .genome import decode
 from .neural_unit import NeuronMode, layer_step_recurrent, layer_step_simple
 from .rundir import load_champion  # noqa: F401  the name perfbench/ loads it by
 
+log = logging.getLogger(__name__)
 
 # Every row of a frozen-weight product is bitwise as in a product of this
 # many rows, whatever the batch size, the live set or the worker split.
 PRODUCT_ROWS = 128
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
+_idle_workers_logged = False
 
 
 @functools.cache
@@ -48,8 +51,10 @@ def worker_splits(arch: Architecture, rows, workers):
     :func:`rows_stable`), else at whole PRODUCT_ROWS-row blocks, so that a
     row's outputs are bitwise independent of the split. The checks made
     here are cached before the pool workers fork, so they inherit them.
-    One worker takes the whole batch, and nothing is checked.
+    One worker takes the whole batch, and nothing is checked. A split at
+    blocks that leaves workers idle is logged once per process.
     """
+    global _idle_workers_logged
     if workers <= 1:
         return [0, rows]
     shapes = list(zip(arch.layer_sizes, arch.layer_sizes[1:]))
@@ -58,9 +63,14 @@ def worker_splits(arch: Architecture, rows, workers):
     step = 1 if all(rows_stable(*shape) for shape in shapes) else PRODUCT_ROWS
     units = -(-rows // step)
     parts = min(workers, units)
-    if parts <= 1:
-        return [0, rows]
-    return np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist()
+    bounds = ([0, rows] if parts <= 1 else
+              np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist())
+    if parts < workers and step > 1 and not _idle_workers_logged:
+        log.warning("%d workers requested, but rows are not stable in every weight product, "
+                    "so %d candidates split only at whole %d-row blocks, as %s; "
+                    "logged once per process", workers, rows, step, bounds)
+        _idle_workers_logged = True
+    return bounds
 
 
 class BatchedPolicy:

@@ -11,6 +11,7 @@ import math
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,38 +89,25 @@ class GeneticAlgorithm:
         self.parents = self.n_elite
 
 
-class _Product:
-    """``a @ b`` written into ``out`` on a thread of its own, so that it runs
-    beside whatever the caller does next. :meth:`result` joins the thread and
-    returns ``out``, or raises what the product raised. The thread drops
-    ``a`` and ``b`` when it is done, and no fork happens while it runs."""
+PRODUCT_THREAD = "evounits-product"
 
-    THREAD_NAME = "evounits-product"
 
-    def __init__(self, a, b, out):
-        self.out, self.error = out, None
-        self._thread = threading.Thread(target=self._run, args=(a, b),
-                                        name=self.THREAD_NAME, daemon=True)
-        self._thread.start()
-
-    def _run(self, a, b):
-        try:
-            np.matmul(a, b, out=self.out)
-        except BaseException as error:  # re-raised by result()
-            self.error = error
-
-    def result(self):
-        self._thread.join()
-        if self.error is not None:
-            raise self.error
-        return self.out
+def _beside(fn, *args, **kwargs):
+    """A Future of ``fn(*args, **kwargs)``, run on a thread of its own beside
+    whatever the caller does next. The thread ends, and drops the arguments,
+    as soon as ``fn`` returns; no fork happens while it runs."""
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=PRODUCT_THREAD)
+    try:
+        return pool.submit(fn, *args, **kwargs)
+    finally:
+        pool.shutdown(wait=False)
 
 
 def _join_products():
     """Wait for every product in flight, so that a forked process (a worker
     of ``evaluate_population``'s pool) never copies BLAS halfway through one."""
     for thread in threading.enumerate():
-        if thread.name == _Product.THREAD_NAME:
+        if thread.name.startswith(PRODUCT_THREAD):
             thread.join()
 
 
@@ -136,9 +124,9 @@ class CmaEs:
     ``cov`` in place.
 
     C^-1/2 = (basis / scale) basis' does not depend on the fitness, so
-    ``ask`` starts it on a thread of its own and it runs while the
-    population is scored; ``tell`` joins it. The arithmetic is the same as
-    computed in line, so every bit is too.
+    ``ask`` submits it to a thread of its own (see :func:`_beside`) and it
+    runs while the population is scored; ``tell`` takes its result. The
+    arithmetic is the same as computed in line, so every bit is too.
     """
 
     STATE = ("mean", "sigma", "cov", "p_sigma", "p_c", "generation", "rng")
@@ -200,7 +188,7 @@ class CmaEs:
         # and output come while the scaled basis is alive, and that is freed
         # before the population is scored, whose arrays then reuse its memory.
         scaled = basis * scale
-        product = _Product(basis / scale, basis.T, np.empty((n, n)))
+        product = _beside(np.matmul, basis / scale, basis.T, out=np.empty((n, n)))
         y = z @ scaled.T
         del scaled
         self._pending = y, product

@@ -94,6 +94,18 @@ class TestTrain:
         champ2 = json.loads((out2 / "champion.json").read_text())
         assert champ1["genome"] == champ2["genome"]
 
+    def test_outputs_independent_of_workers(self, tmp_path, trained_run):
+        # Two workers fork a pool in every generation, in the CMA-ES stage
+        # after C^-1/2's product is done; the run's outputs are those of one.
+        cfg = write_config(tmp_path / "cfg2.yaml")
+        out2 = tmp_path / "run2"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out2), "--quiet",
+                     "--workers", "2"]) == 0
+        for name in ("champion.json", "eval.json"):
+            assert (out2 / name).read_bytes() == (trained_run / name).read_bytes(), name
+        assert history_without_wallclock(out2 / "history.csv") == \
+            history_without_wallclock(trained_run / "history.csv")
+
     def test_history_streams_until_a_failed_generation(self, tmp_path, monkeypatch):
         from evounits import cli
 

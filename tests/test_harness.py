@@ -161,6 +161,23 @@ class TestPopulationEvaluator:
         pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
         assert np.array_equal(pooled, serial)
 
+    def test_idle_workers_logged_once(self, monkeypatch, caplog):
+        # A 128-candidate CMA-ES generation is one block, so where rows are
+        # not stable it runs in one process whatever --workers asks; that
+        # is logged, once per process, and the fitness is the 1-worker one.
+        monkeypatch.setattr(network, "rows_stable", lambda *shape: False)
+        monkeypatch.setattr(network, "_idle_workers_logged", False)
+        a = rec_arch()
+        env = SwingUpParams(max_steps=50)
+        genomes = np.random.default_rng(10).normal(0, 1, (128, count_parameters(a)))
+        serial = evaluate_population(a, env, genomes, [3], workers=1)
+        assert not caplog.records
+        with caplog.at_level("WARNING", logger="evounits.network"):
+            pooled = [evaluate_population(a, env, genomes, [3], workers=2) for _ in range(2)]
+        [record] = caplog.records
+        assert "2 workers requested" in record.message and "[0, 128]" in record.message
+        assert all(np.array_equal(p, serial) for p in pooled)
+
     def test_pool_workers_inherit_every_table(self, monkeypatch, tmp_path):
         # The parent checks every product's shape to choose the split, here
         # an even one, and caches the answers before it forks: a pooled call

@@ -1,6 +1,7 @@
 import faulthandler
 import math
 import multiprocessing
+import threading
 import time
 import tracemalloc
 from functools import partial
@@ -22,7 +23,6 @@ from evounits.optimizers import (
     OpenEs,
     PipelineConfig,
     PipelineRunner,
-    _Product,
     average_ranks,
 )
 
@@ -522,8 +522,9 @@ class TestCmaEs:
         # An operand one row short makes the product raise on its thread, so
         # C^-1/2's output is never written; tell raises that error before it
         # reads the output or changes any state.
-        run = _Product._run
-        monkeypatch.setattr(_Product, "_run", lambda self, a, b: run(self, a, b[:-1]))
+        beside = optimizers._beside
+        monkeypatch.setattr(optimizers, "_beside",
+                            lambda fn, a, b, **kw: beside(fn, a, b[:-1], **kw))
         es = CmaEs(np.zeros(6), sigma0=0.5, popsize=12, seed=0)
         x = es.ask()
         state = {name: getattr(es, name).copy() for name in ("mean", "cov", "p_sigma", "p_c")}
@@ -535,19 +536,45 @@ class TestCmaEs:
         with pytest.raises(DomainError, match="before ask"):
             es.tell(sphere(x))
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["done", "raised"])
+    def test_product_thread_ends_with_its_product(self, monkeypatch, fails):
+        # A thread kept past its product would hold its BLAS buffers into the
+        # next eigh and be alive at every fork; each one ends once its
+        # product is done, whether it returned or raised.
+        threads = []
+
+        def recorded(fn, a, b, **kw):
+            threads.append(threading.current_thread())
+            return fn(a, b[:-1] if fails else b, **kw)
+
+        monkeypatch.setattr(optimizers, "_beside", partial(optimizers._beside, recorded))
+        es = CmaEs(np.zeros(40), sigma0=0.5, seed=0)
+        for _ in range(2):
+            x = es.ask()
+            if fails:
+                with pytest.raises(ValueError, match="matmul"):
+                    es.tell(sphere(x))
+            else:
+                es.tell(sphere(x))
+        assert len(threads) == 2
+        for thread in threads:
+            assert thread.name.startswith(optimizers.PRODUCT_THREAD)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers are not forked from this process")
     def test_pooled_generation_forks_after_the_product(self, monkeypatch):
         # The product is slowed so that the pool forks while it runs; the
         # fork waits for it (a forked BLAS call may hold its locks), and the
         # generation equals the 1-worker one bitwise. A hang ends the run.
-        def slow(self, a, b):
+        def slow(fn, *args, **kw):
             time.sleep(0.3)
-            run(self, a, b)
+            out = fn(*args, **kw)
             PRODUCTS_DONE.append(True)
+            return out
 
-        run = _Product._run
-        monkeypatch.setattr(_Product, "_run", slow)
+        monkeypatch.setattr(optimizers, "_beside", partial(optimizers._beside, slow))
         arch = Architecture((5, 40, 40, 1), NeuronMode.RECURRENT)
         env = SwingUpParams(max_steps=20)
         generations = []
