@@ -14,8 +14,8 @@ from .errors import ConfigError
 from .neural_unit import PARAMS_PER_NEURON, NeuronMode
 
 
-def decode(genomes, arch: Architecture):
-    """Unflatten genomes into per-layer parameter arrays.
+def decode(genomes, arch: Architecture, dtype=np.float64):
+    """Unflatten genomes into per-layer parameter arrays of ``dtype``.
 
     ``genomes`` is one genome of shape (dim,) or a batch of shape (..., dim);
     the leading axes pass through to every array returned. Unit modes return
@@ -23,7 +23,7 @@ def decode(genomes, arch: Architecture):
     Plain-tanh returns [(W, b), ...] per weight layer, with W (..., out, in)
     and b (..., out).
     """
-    g = np.atleast_1d(np.asarray(genomes, dtype=np.float64))
+    g = np.atleast_1d(np.asarray(genomes, dtype=dtype))
     expected = count_parameters(arch)
     if g.shape[-1] != expected:
         raise ConfigError(

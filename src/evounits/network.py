@@ -1,5 +1,5 @@
 """The batched policy: frozen random weights with per-neuron units, or the
-weight-trainable tanh baseline.
+weight-trainable tanh baseline, computing in POLICY_DTYPE.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .rundir import load_champion  # noqa: F401  the name perfbench/ loads it by
 
 log = logging.getLogger(__name__)
 
+POLICY_DTYPE = np.float64
 # Every row of a frozen-weight product is bitwise as in a product of this
 # many rows, whatever the batch size, the live set or the worker split.
 PRODUCT_ROWS = 128
@@ -26,18 +27,18 @@ _idle_workers_logged = False
 
 
 @functools.cache
-def rows_stable(fan_in, fan_out):
-    """Whether a PRODUCT_ROWS-row product of this shape gives each row the
-    same bits at any place in it; checked once per shape in this process.
+def rows_stable(fan_in, fan_out, dtype):
+    """Whether a PRODUCT_ROWS-row product of this shape in ``dtype`` gives each
+    row the same bits at any place in it; checked once per shape and dtype.
 
     Each of PROBE_TRIALS trials draws a fresh fixed-seed random
     (PRODUCT_ROWS, fan_in) matrix and row order; the reordered matrix must
     give the reordered product bitwise.
     """
     rng = np.random.default_rng(PROBE_SEED)
-    w_t = rng.normal(size=(fan_out, fan_in)).T
+    w_t = rng.normal(size=(fan_out, fan_in)).T.astype(dtype)
     for _ in range(PROBE_TRIALS):
-        a = rng.normal(size=(PRODUCT_ROWS, fan_in))
+        a = rng.normal(size=(PRODUCT_ROWS, fan_in)).astype(dtype)
         perm = rng.permutation(PRODUCT_ROWS)
         if not np.array_equal(a[perm] @ w_t, (a @ w_t)[perm]):
             return False
@@ -60,7 +61,7 @@ def worker_splits(arch: Architecture, rows, workers):
     shapes = list(zip(arch.layer_sizes, arch.layer_sizes[1:]))
     if arch.neuron_mode is NeuronMode.PLAIN_TANH:
         shapes = []  # no frozen-weight products
-    step = 1 if all(rows_stable(*shape) for shape in shapes) else PRODUCT_ROWS
+    step = 1 if all(rows_stable(*shape, POLICY_DTYPE) for shape in shapes) else PRODUCT_ROWS
     units = -(-rows // step)
     parts = min(workers, units)
     bounds = ([0, rows] if parts <= 1 else
@@ -91,26 +92,26 @@ class BatchedPolicy:
 
     def __init__(self, arch: Architecture, genomes):
         self.arch = arch
-        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+        genomes = np.atleast_2d(genomes)
         self.batch = genomes.shape[0]
         self.mode = arch.neuron_mode
         self.rows = np.arange(self.batch)
         if self.mode is NeuronMode.PLAIN_TANH:
-            self.layers = decode(genomes, arch)
+            self.layers = decode(genomes, arch, POLICY_DTYPE)
             return
-        self.weights = sample_weights(arch)
+        self.weights = [w.astype(POLICY_DTYPE) for w in sample_weights(arch)]
         # Each unit coefficient as one contiguous plane, as the layer steps
         # expect: (B, n, 2, 3) to (2, 3, B, n), or (B, n, 2) to (2, B, n).
         k = 2 if self.mode is NeuronMode.RECURRENT else 1
         self.params = [np.array(np.moveaxis(p, range(2, 2 + k), range(k)), order="C")
-                       for p in decode(genomes, arch)]
+                       for p in decode(genomes, arch, POLICY_DTYPE)]
         # Per layer, plane 0 holds the unit outputs of the live rows [:m]
         # and, for recurrent units, plane 1 their states. The rows run to
         # whole PRODUCT_ROWS-row slices, so that every product slice lies on
         # the plane. Products and unit steps share _scratch.
         rows = -(-self.batch // PRODUCT_ROWS) * PRODUCT_ROWS
-        self.planes = [np.zeros((k, rows, n)) for n in arch.layer_sizes]
-        self._scratch = np.zeros((2, rows * max(arch.layer_sizes)))
+        self.planes = [np.zeros((k, rows, n), POLICY_DTYPE) for n in arch.layer_sizes]
+        self._scratch = np.zeros((2, rows * max(arch.layer_sizes)), POLICY_DTYPE)
 
     def keep(self, order):
         """Keep the live rows ``order`` (integer indices into the live rows),
@@ -147,7 +148,7 @@ class BatchedPolicy:
         w_t = self.weights[k].T
         x = self.planes[k][0]
         out = self._scratch[0, : len(x) * w_t.shape[1]].reshape(len(x), -1)
-        if m < self.batch and not rows_stable(*w_t.shape):
+        if m < self.batch and not rows_stable(*w_t.shape, POLICY_DTYPE):
             buf = self._scratch[1, : PRODUCT_ROWS * len(w_t)].reshape(PRODUCT_ROWS, -1)
             block_of = self.rows // PRODUCT_ROWS
             for c in np.unique(block_of):
@@ -162,14 +163,14 @@ class BatchedPolicy:
 
     def forward(self, obs):
         """obs: (live rows, obs_dim) -> new actions (live rows, action_dim)."""
-        x = np.asarray(obs, dtype=np.float64)
+        x = np.asarray(obs, dtype=POLICY_DTYPE)
         if self.mode is NeuronMode.PLAIN_TANH:
             for w, b in self.layers:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
-            return x
-        for k in range(len(self.arch.layer_sizes)):
-            x = self.step_layer(k, x if k == 0 else self._weight_product(k - 1, len(x)))[0]
-        return x.copy()
+        else:
+            for k in range(len(self.arch.layer_sizes)):
+                x = self.step_layer(k, x if k == 0 else self._weight_product(k - 1, len(x)))[0]
+        return x.astype(np.float64)
 
     def step_layer(self, k, pre):
         """Step the units of layer k on the inputs ``pre`` of the first m

@@ -19,7 +19,7 @@ from numpy.lib.npyio import NpzFile
 from .architecture import Architecture, count_parameters, sample_weights
 from .cartpole import SwingUpParams
 from .config import ExperimentConfig, _section, from_dict, to_dict
-from .errors import CheckpointError, ConfigError, DomainError
+from .errors import CheckpointError, ConfigError, DomainError, EvoUnitsError
 from .neural_unit import NeuronMode
 from .optimizers import GenerationRecord, GeneticAlgorithm, PipelineRunner
 from .schema import Real, at_least, check_fields, check_value, is_finite, to_plain
@@ -34,8 +34,8 @@ TRAJECTORY_COLUMNS = ["t", "x", "x_dot", "theta", "theta_dot", "action", "reward
 
 def write_atomically(path, write, mode="wb"):
     """``write(fh)`` to a synced file beside ``path``, renamed over it: a crash
-    mid-write leaves the previous file whole. Text is written with its line
-    endings as given, as the csv module needs."""
+    mid-write leaves the previous file whole; a path that cannot take the file
+    is an error naming it. Text keeps the line endings given, as csv needs."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, mode, newline=None if "b" in mode else "") as fh:
@@ -43,6 +43,10 @@ def write_atomically(path, write, mode="wb"):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise EvoUnitsError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -119,7 +123,10 @@ def write_probe(out_dir: Path, layer, probe):
     """``traces_layer<l>.csv`` (the input column, then each unit's output and,
     for recurrent units, state) and ``divergence_layer<l>.json`` of a
     ``harness.LayerProbe``; returns the CSV's path."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EvoUnitsError(f"cannot make directory {out_dir}: {exc.strerror}") from exc
     planes = [probe.outputs] if probe.states is None else [probe.outputs, probe.states]
     names = ["out", "state"][: len(planes)]
     header = ["input"] + [f"{name}_{i}" for i in range(probe.outputs.shape[1]) for name in names]

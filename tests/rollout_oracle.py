@@ -76,30 +76,30 @@ class FreezingSwingUp:
 
 def padded_product(x, w):
     """x @ w.T with the rows of x in place in a PRODUCT_ROWS-row product."""
-    buf = np.zeros((network.PRODUCT_ROWS, x.shape[1]))
+    buf = np.zeros((network.PRODUCT_ROWS, x.shape[1]), network.POLICY_DTYPE)
     buf[: len(x)] = x
     return (buf @ w.T)[: len(x)]
 
 
 class FullBatchPolicy:
     """Forward pass over all B <= PRODUCT_ROWS rows, unit parameters as
-    (B, n, 2, 3)."""
+    (B, n, 2, 3), in network.POLICY_DTYPE with float64 actions."""
 
     def __init__(self, arch, genomes):
         self.arch = arch
-        genomes = np.atleast_2d(np.asarray(genomes, dtype=np.float64))
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=network.POLICY_DTYPE))
         assert genomes.shape[1] == count_parameters(arch)
         self.batch = genomes.shape[0]
         assert self.batch <= network.PRODUCT_ROWS
         self.mode = arch.neuron_mode
         if self.mode is NeuronMode.PLAIN_TANH:
-            per_layer = [decode(g, arch) for g in genomes]
+            per_layer = [decode(g, arch, network.POLICY_DTYPE) for g in genomes]
             self.layers = [
                 (np.stack([c[k][0] for c in per_layer]), np.stack([c[k][1] for c in per_layer]))
                 for k in range(arch.n_layers - 1)
             ]
             return
-        self.weights = sample_weights(arch)
+        self.weights = [w.astype(network.POLICY_DTYPE) for w in sample_weights(arch)]
         per = 6 if self.mode is NeuronMode.RECURRENT else 2
         shape = (2, 3) if self.mode is NeuronMode.RECURRENT else (2,)
         self.params = []
@@ -108,7 +108,7 @@ class FullBatchPolicy:
             block = genomes[:, pos : pos + n * per]
             self.params.append(block.reshape((self.batch, n) + shape))
             pos += n * per
-        self.states = [np.zeros((self.batch, n)) for n in arch.layer_sizes]
+        self.states = [np.zeros((self.batch, n), network.POLICY_DTYPE) for n in arch.layer_sizes]
 
     def reset_states(self):
         if self.mode is not NeuronMode.PLAIN_TANH:
@@ -116,11 +116,11 @@ class FullBatchPolicy:
                 h.fill(0.0)
 
     def forward(self, obs):
-        x = np.asarray(obs, dtype=np.float64)
+        x = np.asarray(obs, dtype=network.POLICY_DTYPE)
         if self.mode is NeuronMode.PLAIN_TANH:
             for w, b in self.layers:
                 x = np.tanh(np.einsum("boi,bi->bo", w, x) + b)
-            return x
+            return x.astype(np.float64)
         recurrent = self.mode is NeuronMode.RECURRENT
         for k in range(self.arch.n_layers):
             pre = x if k == 0 else padded_product(x, self.weights[k - 1])
@@ -129,7 +129,7 @@ class FullBatchPolicy:
                 self.states[k][:] = h_new
             else:
                 x = unit_step_simple(self.params[k], pre)
-        return x
+        return x.astype(np.float64)
 
 
 def episode_totals(net, env, seeds):

@@ -464,6 +464,24 @@ class TestOutputsAreAtomic:
         assert (out / name).read_text() == "previous\n"
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("argv, named", [
+        (["eval", "--episodes", "2", "--out", "{tmp}/missing/e.json"], "{tmp}/missing/e.json"),
+        (["eval", "--episodes", "2", "--out", "{tmp}/e.json", "--dump-trajectory",
+          "{tmp}/missing/t.csv"], "{tmp}/missing/t.csv"),
+        (["probe", "--layer", "2", "--out-dir", "{tmp}/a-file"], "{tmp}/a-file"),
+        (["eval", "--episodes", "2", "--out", "{tmp}/a-dir"], "{tmp}/a-dir"),
+    ], ids=["eval-out", "trajectory", "probe-out-dir", "eval-out-is-a-dir"])
+    def test_unwritable_path_is_an_error_naming_it(self, tmp_path, capsys, argv, named):
+        # The error names the path given, not the file written beside it,
+        # and leaves no such file behind.
+        (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir").mkdir()
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv + ["--champion", str(REFERENCE_CHAMPION)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named.format(tmp=tmp_path) in err
+        assert ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_failed_genomes_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
         def fails(self, genomes, generation):

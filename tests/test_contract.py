@@ -8,13 +8,17 @@ way it is bitwise independent of the worker count, an ``evaluate``
 episode's score depends on its seed alone, not on how many episodes share
 its batch, and a run resumed from any of its checkpoints ends as the
 uninterrupted run does.
+
+The three fitness properties hold with the policy computing in float64,
+the shipped ``network.POLICY_DTYPE``, and in float32, where some OpenBLAS
+kernels (Haswell's among them) fail the row check for common shapes.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evounits import network
@@ -27,6 +31,9 @@ from evounits.neural_unit import NeuronMode
 from evounits.rundir import save_config
 
 ROWS = network.PRODUCT_ROWS
+POLICY_DTYPES = (np.float64, np.float32)
+# Each example sets network.POLICY_DTYPE through the test's monkeypatch.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
 @st.composite
@@ -53,46 +60,55 @@ def populations(draw):
 
 
 def rows_stable(arch):
-    """Whether every frozen-weight product of ``arch`` has stable rows."""
+    """Whether every frozen-weight product of ``arch`` has stable rows in
+    the policy's dtype."""
     shapes = zip(arch.layer_sizes, arch.layer_sizes[1:])
-    return all(network.rows_stable(*shape) for shape in shapes)
+    return all(network.rows_stable(*shape, network.POLICY_DTYPE) for shape in shapes)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=FIXTURE_OK)
 @given(case=populations(), picks=st.lists(st.integers(0, 299), min_size=5, max_size=5))
-def test_fitness_is_the_rows_fitness_alone(case, picks):
+def test_fitness_is_the_rows_fitness_alone(monkeypatch, case, picks):
     arch, env, genomes, seeds = case
-    fitness = evaluate_population(arch, env, genomes, seeds)
-    strong = rows_stable(arch)
-    for i in (p % len(genomes) for p in picks):
-        # Alone, or where some product's rows are not stable, last of a
-        # batch that puts it at the same index modulo ROWS.
-        batch = genomes[i : i + 1] if strong else genomes[i - i % ROWS : i + 1]
-        assert evaluate_population(arch, env, batch, seeds)[-1] == fitness[i]
+    for dtype in POLICY_DTYPES:
+        monkeypatch.setattr(network, "POLICY_DTYPE", dtype)
+        fitness = evaluate_population(arch, env, genomes, seeds)
+        strong = rows_stable(arch)
+        for i in (p % len(genomes) for p in picks):
+            # Alone, or where some product's rows are not stable, last of a
+            # batch that puts it at the same index modulo ROWS.
+            batch = genomes[i : i + 1] if strong else genomes[i - i % ROWS : i + 1]
+            assert evaluate_population(arch, env, batch, seeds)[-1] == fitness[i], dtype
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12, deadline=None, derandomize=True, suppress_health_check=FIXTURE_OK)
 @given(case=populations())
-def test_fitness_is_independent_of_the_worker_count(case):
+def test_fitness_is_independent_of_the_worker_count(monkeypatch, case):
     arch, env, genomes, seeds = case
-    serial = evaluate_population(arch, env, genomes, seeds, workers=1)
-    assert np.array_equal(evaluate_population(arch, env, genomes, seeds, workers=2), serial)
+    for dtype in POLICY_DTYPES:
+        monkeypatch.setattr(network, "POLICY_DTYPE", dtype)
+        serial = evaluate_population(arch, env, genomes, seeds, workers=1)
+        pooled = evaluate_population(arch, env, genomes, seeds, workers=2)
+        assert np.array_equal(pooled, serial), dtype
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=FIXTURE_OK)
 @given(task=tasks(), n=st.integers(1, 300), base_seed=st.integers(0, 10**6),
        genome_seed=st.integers(0, 2**32),
        picks=st.lists(st.integers(0, 299), min_size=5, max_size=5))
-def test_episode_score_is_independent_of_n_episodes(task, n, base_seed, genome_seed, picks):
+def test_episode_score_is_independent_of_n_episodes(monkeypatch, task, n, base_seed,
+                                                    genome_seed, picks):
     arch, env = task
     genome = np.random.default_rng(genome_seed).normal(0, 1, count_parameters(arch))
-    scores = evaluate(genome, arch, env, n, base_seed).scores
-    for k in (p % n for p in picks):
-        # Where some product's rows are not stable, episode k keeps its
-        # index modulo ROWS in a batch that ends with it.
-        first = 0 if rows_stable(arch) else k - k % ROWS
-        alone = evaluate(genome, arch, env, k - first + 1, base_seed + first).scores
-        assert alone[-1] == scores[k]
+    for dtype in POLICY_DTYPES:
+        monkeypatch.setattr(network, "POLICY_DTYPE", dtype)
+        scores = evaluate(genome, arch, env, n, base_seed).scores
+        for k in (p % n for p in picks):
+            # Where some product's rows are not stable, episode k keeps its
+            # index modulo ROWS in a batch that ends with it.
+            first = 0 if rows_stable(arch) else k - k % ROWS
+            alone = evaluate(genome, arch, env, k - first + 1, base_seed + first).scores
+            assert alone[-1] == scores[k], dtype
 
 
 @st.composite

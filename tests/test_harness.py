@@ -186,10 +186,10 @@ class TestPopulationEvaluator:
         log = tmp_path / "checks"
         check = network.rows_stable.__wrapped__
 
-        def logged_check(fan_in, fan_out):
+        def logged_check(fan_in, fan_out, dtype):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return check(fan_in, fan_out)
+            return check(fan_in, fan_out, dtype)
 
         monkeypatch.setattr(network, "rows_stable", functools.cache(logged_check))
         a = rec_arch()

@@ -11,6 +11,10 @@ promise on data it never saw, and the fallback.
 """
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,17 +30,48 @@ from test_rollout_golden import CHAMPION, ENV, NOISY_ENV, SIZES, staggered_popul
 
 ARCH = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
 
+# Prints the core name of the OpenBLAS bundled with numpy, then the row
+# check of the 128 -> 64 shape in float32 and in float64.
+PROBE_BY_DTYPE = """
+import ctypes, glob
+from pathlib import Path
+import numpy as np
+from evounits import network
+
+def openblas_symbol(name):
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libdir / "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+corename = openblas_symbol("get_corename")
+if corename is not None:
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode() if corename is not None else "unknown")
+print(network.rows_stable(128, 64, np.float32), network.rows_stable(128, 64, np.float64))
+"""
+
 
 @pytest.fixture
 def checks(monkeypatch):
     """The shapes of every rows_stable call, each answered from a fresh
-    cache, so each test checks for itself."""
+    cache, so each test checks for itself; every call checks the policy's
+    own dtype."""
     calls = []
     fresh = functools.cache(network.rows_stable.__wrapped__)
 
-    def logged(fan_in, fan_out):
+    def logged(fan_in, fan_out, dtype):
+        assert dtype is network.POLICY_DTYPE
         calls.append((fan_in, fan_out))
-        return fresh(fan_in, fan_out)
+        return fresh(fan_in, fan_out, dtype)
 
     monkeypatch.setattr(network, "rows_stable", logged)
     return calls
@@ -47,15 +82,16 @@ def test_stable_rows_keep_their_bits_at_any_place(checks):
     # whose rows below hold stale values, give their own rows of the
     # matrix's product, as a leftover slice of live rows does.
     rng = np.random.default_rng(network.PROBE_SEED + 1)
-    rows = network.PRODUCT_ROWS
+    rows, dtype = network.PRODUCT_ROWS, network.POLICY_DTYPE
     for w in sample_weights(ARCH):
         fan_out, fan_in = w.shape
-        if not network.rows_stable(fan_in, fan_out):
+        if not network.rows_stable(fan_in, fan_out, dtype):
             continue
-        plane = rng.normal(size=(rows, fan_in))
+        w = w.astype(dtype)
+        plane = rng.normal(size=(rows, fan_in)).astype(dtype)
         for m in (1, 2, 65, 100, 127):
             for _ in range(4):
-                a = rng.normal(size=(rows, fan_in))
+                a = rng.normal(size=(rows, fan_in)).astype(dtype)
                 full = a @ w.T
                 live = np.sort(rng.choice(rows, m, replace=False))
                 plane[:m] = a[live]
@@ -120,3 +156,16 @@ def test_batch_of_65_with_ended_rows(checks):
     assert len(np.unique(lengths[0])) > 10
     assert np.array_equal(evaluate_population(ARCH, NOISY_ENV, genomes, [3]), want)
     assert set(checks) == {(5, 128), (128, 64), (64, 1)}
+
+
+def test_check_runs_in_the_asked_dtype():
+    # On the Haswell kernel at one thread, the 128 -> 64 shape keeps its
+    # rows' bits at float64 but not at float32, so the check's answer is
+    # only good for the dtype it multiplied in.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(network.__file__).resolve().parents[1]))
+    lines = subprocess.run([sys.executable, "-c", PROBE_BY_DTYPE], env=env, check=True,
+                           capture_output=True, text=True).stdout.split("\n")
+    if lines[0].strip() != "Haswell":
+        pytest.skip(f"OpenBLAS runs the {lines[0].strip()} kernel, not Haswell")
+    assert lines[1].split() == ["False", "True"]

@@ -1,4 +1,5 @@
-"""Scalar per-neuron oracle: one unit, one time step, plain Python floats.
+"""Scalar per-neuron oracle: one unit, one time step, plain Python floats in
+and out, parameters in ``network.POLICY_DTYPE``.
 
 The vectorized layer steps in ``evounits.neural_unit`` compute the same
 arithmetic over whole layers and batches; ``test_neural_unit`` checks them
@@ -9,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from evounits import network
 from evounits.errors import DomainError
 from evounits.neural_unit import NeuronMode
 
@@ -28,7 +30,7 @@ class NeuronParams:
         expected = RECURRENT_SHAPE if self.mode is NeuronMode.RECURRENT else SIMPLE_SHAPE
         if self.values is None:
             self.values = np.zeros(expected)
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=network.POLICY_DTYPE)
         if self.values.shape != expected:
             raise DomainError(
                 f"neuron params for mode {self.mode.value} must have shape "
