@@ -124,13 +124,13 @@ def cmd_eval(args):
         genome, arch, env_params, args.episodes, args.seed,
         genome_id=Path(args.champion).stem, trajectory=trajectory,
     )
+    if args.dump_trajectory:  # first: a path that fails leaves --out as it was
+        rundir.write_csv(args.dump_trajectory, rundir.TRAJECTORY_COLUMNS, trajectory)
+        print(f"trajectory written to {args.dump_trajectory}")
     out = args.out or str(Path(args.champion).with_name("eval.json"))
     rundir.write_eval_json(out, report)
     print(f"{report.genome_id}: mean {report.mean:.2f} +/- {report.std:.2f} "
           f"over {report.n_episodes} episodes (base seed {report.base_seed})")
-    if args.dump_trajectory:
-        rundir.write_csv(args.dump_trajectory, rundir.TRAJECTORY_COLUMNS, trajectory)
-        print(f"trajectory written to {args.dump_trajectory}")
     return 0
 
 

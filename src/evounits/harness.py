@@ -60,16 +60,17 @@ def _fill_order(done):
     return order
 
 
-def _scores(arch, env_params, genomes, seeds, trajectory=None):
+def _scores(arch, env_params, genomes, seeds, trajectory=None, first_row=0):
     """Total reward of one episode per row: row i runs ``genomes[i]`` from
-    ``seeds[i]``, all stepped together as one batch.
+    ``seeds[i]``, all stepped together as one batch whose first row is row
+    ``first_row`` of the population (see :class:`BatchedPolicy`).
 
     Only running episodes are stepped: rows whose episode ended leave both
     the policy and the env (see :func:`_fill_order`), and the loop stops
     when none is left. A ``trajectory`` list gets one (t, x, x_dot, theta,
     theta_dot, action, reward) tuple per step of row 0's episode.
     """
-    net = BatchedPolicy(arch, genomes)
+    net = BatchedPolicy(arch, genomes, first_row)
     env = BatchedSwingUp(env_params)
     obs = env.reset(seeds)
     totals = np.zeros(len(seeds))
@@ -87,12 +88,12 @@ def _scores(arch, env_params, genomes, seeds, trajectory=None):
     return totals
 
 
-def _mean_scores(arch, env_params, episode_seeds, genomes):
-    """Mean episode score per candidate, one batch per seed."""
+def _mean_scores(arch, env_params, episode_seeds, genomes, first_row=0):
+    """Mean episode score per candidate, one batch per seed, as :func:`_scores`."""
     n = genomes.shape[0]
     totals = np.zeros(n)
     for seed in episode_seeds:
-        totals += _scores(arch, env_params, genomes, [seed] * n)
+        totals += _scores(arch, env_params, genomes, [seed] * n, first_row=first_row)
     return totals / len(episode_seeds)
 
 
@@ -100,9 +101,8 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     """Fitness for every candidate: mean total reward over the given seeds.
 
     One worker steps the whole population together. A pool gives each
-    worker a contiguous split of the rows, chosen so that each fitness stays
-    bitwise independent of the worker count (see
-    :func:`~evounits.network.worker_splits`).
+    worker an even contiguous split; each fitness stays bitwise independent
+    of the worker count (see :func:`~evounits.network.worker_splits`).
     """
     check_arch(arch)
     workers = check_value("workers", workers, int, at_least=1)
@@ -110,10 +110,10 @@ def evaluate_population(arch, env_params, genomes, episode_seeds, workers=1):
     bounds = worker_splits(arch, genomes.shape[0], workers)
     if len(bounds) == 2:
         return _mean_scores(arch, env_params, episode_seeds, genomes)
-    splits = [genomes[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     rollout = partial(_mean_scores, arch, env_params, episode_seeds)
+    splits = np.split(genomes, bounds[1:-1])
     with ProcessPoolExecutor(max_workers=len(splits)) as pool:
-        return np.concatenate(list(pool.map(rollout, splits)))
+        return np.concatenate(list(pool.map(rollout, splits, bounds[:-1])))
 
 
 class PopulationEvaluator:

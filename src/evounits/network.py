@@ -5,7 +5,6 @@ weight-trainable tanh baseline, computing in POLICY_DTYPE.
 from __future__ import annotations
 
 import functools
-import logging
 
 import numpy as np
 
@@ -15,15 +14,12 @@ from .genome import decode
 from .neural_unit import NeuronMode, layer_step_recurrent, layer_step_simple
 from .rundir import load_champion  # noqa: F401  the name perfbench/ loads it by
 
-log = logging.getLogger(__name__)
-
 POLICY_DTYPE = np.float64
 # Every row of a frozen-weight product is bitwise as in a product of this
 # many rows, whatever the batch size, the live set or the worker split.
 PRODUCT_ROWS = 128
 PROBE_SEED = 20240917
 PROBE_TRIALS = 32
-_idle_workers_logged = False
 
 
 @functools.cache
@@ -46,32 +42,17 @@ def rows_stable(fan_in, fan_out, dtype):
 
 
 def worker_splits(arch: Architecture, rows, workers):
-    """Bounds of up to ``workers`` contiguous splits of ``rows`` rows.
-
-    The splits are even where every product's rows are stable (see
-    :func:`rows_stable`), else at whole PRODUCT_ROWS-row blocks, so that a
-    row's outputs are bitwise independent of the split. The checks made
-    here are cached before the pool workers fork, so they inherit them.
-    One worker takes the whole batch, and nothing is checked. A split at
-    blocks that leaves workers idle is logged once per process.
-    """
-    global _idle_workers_logged
-    if workers <= 1:
+    """Bounds of up to ``workers`` even contiguous splits of ``rows`` rows;
+    each split's policy keeps its rows' batch indices (see
+    :class:`BatchedPolicy`). Every frozen-weight shape is checked first, so
+    that the pool workers fork with the cached answers. One worker, or one
+    row, takes the whole batch, and nothing is checked."""
+    if workers <= 1 or rows <= 1:
         return [0, rows]
-    shapes = list(zip(arch.layer_sizes, arch.layer_sizes[1:]))
-    if arch.neuron_mode is NeuronMode.PLAIN_TANH:
-        shapes = []  # no frozen-weight products
-    step = 1 if all(rows_stable(*shape, POLICY_DTYPE) for shape in shapes) else PRODUCT_ROWS
-    units = -(-rows // step)
-    parts = min(workers, units)
-    bounds = ([0, rows] if parts <= 1 else
-              np.minimum(step * np.linspace(0, units, parts + 1).astype(int), rows).tolist())
-    if parts < workers and step > 1 and not _idle_workers_logged:
-        log.warning("%d workers requested, but rows are not stable in every weight product, "
-                    "so %d candidates split only at whole %d-row blocks, as %s; "
-                    "logged once per process", workers, rows, step, bounds)
-        _idle_workers_logged = True
-    return bounds
+    if arch.neuron_mode is not NeuronMode.PLAIN_TANH:  # else no frozen-weight products
+        for shape in zip(arch.layer_sizes, arch.layer_sizes[1:]):
+            rows_stable(*shape, POLICY_DTYPE)
+    return np.linspace(0, rows, min(workers, rows) + 1).astype(int).tolist()
 
 
 class BatchedPolicy:
@@ -82,20 +63,24 @@ class BatchedPolicy:
     serves one batch of episodes: it starts with all B rows live and every
     neuron state zero, and ``keep`` drops rows whose episode has ended, so
     ``forward`` only ever computes running episodes.
-    ``rows`` holds the batch index of each live row. Every weight product
-    multiplies a layer plane's rows where they are, as whole
-    PRODUCT_ROWS-row slices (see :meth:`_weight_product`). A row's outputs
-    depend on its own genome and inputs alone, and on its index modulo
-    PRODUCT_ROWS only where some product's rows are not stable (see
-    :func:`rows_stable` and :func:`worker_splits`).
+    ``rows`` holds the index in this batch of each live row; its batch
+    index adds ``first_row``, the batch's first row in a split population
+    (see :func:`worker_splits`). Every weight product multiplies a layer
+    plane's rows where they are, as whole PRODUCT_ROWS-row slices (see
+    :meth:`_weight_product`). A row's outputs depend on its own genome and
+    inputs alone, and on its batch index modulo PRODUCT_ROWS only where
+    some product's rows are not stable (see :func:`rows_stable`).
     """
 
-    def __init__(self, arch: Architecture, genomes):
+    def __init__(self, arch: Architecture, genomes, first_row=0):
         self.arch = arch
         genomes = np.atleast_2d(genomes)
         self.batch = genomes.shape[0]
         self.mode = arch.neuron_mode
         self.rows = np.arange(self.batch)
+        self.first_row = first_row
+        # Whether all-live rows sit at their batch index modulo PRODUCT_ROWS.
+        self._aligned = first_row % PRODUCT_ROWS == 0
         if self.mode is NeuronMode.PLAIN_TANH:
             self.layers = decode(genomes, arch, POLICY_DTYPE)
             return
@@ -139,23 +124,22 @@ class BatchedPolicy:
 
         Each product multiplies the plane's rows where they are, as whole
         PRODUCT_ROWS-row slices; the plane's rows past the live ones fill
-        the last slice. Once rows have ended, live rows sit at other places
-        than their own, which keeps their bits only where the shape's rows
-        are stable (see :func:`rows_stable`); an all-live batch never
-        checks. Where they are not, each PRODUCT_ROWS-row block of the batch
-        runs at PRODUCT_ROWS rows with its live rows at their own places.
+        the last slice. That keeps a live row's bits where it sits at its
+        batch index modulo PRODUCT_ROWS, as in an all-live aligned batch,
+        which never checks, or where the shape's rows are stable (see
+        :func:`rows_stable`). Else each PRODUCT_ROWS-row block of batch
+        indices runs at PRODUCT_ROWS rows, each live row in its place.
         """
         w_t = self.weights[k].T
         x = self.planes[k][0]
         out = self._scratch[0, : len(x) * w_t.shape[1]].reshape(len(x), -1)
-        if m < self.batch and not rows_stable(*w_t.shape, POLICY_DTYPE):
+        if (m < self.batch or not self._aligned) and not rows_stable(*w_t.shape, POLICY_DTYPE):
             buf = self._scratch[1, : PRODUCT_ROWS * len(w_t)].reshape(PRODUCT_ROWS, -1)
-            block_of = self.rows // PRODUCT_ROWS
+            block_of, place = np.divmod(self.first_row + self.rows, PRODUCT_ROWS)
             for c in np.unique(block_of):
                 sel = np.flatnonzero(block_of == c)
-                local = self.rows[sel] - c * PRODUCT_ROWS
-                buf[local] = x[sel]
-                out[sel] = (buf @ w_t)[local]
+                buf[place[sel]] = x[sel]
+                out[sel] = (buf @ w_t)[place[sel]]
             return out[:m]
         for i in range(0, m, PRODUCT_ROWS):
             np.matmul(x[i : i + PRODUCT_ROWS], w_t, out=out[i : i + PRODUCT_ROWS])

@@ -85,9 +85,17 @@ def save_config(path, cfg: ExperimentConfig):
     write_atomically(path, lambda fh: yaml.safe_dump(to_dict(cfg), fh, sort_keys=False), "w")
 
 
+def make_dir(path: Path):
+    """Make directory ``path`` and its parents, or fail naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EvoUnitsError(f"cannot make directory {path}: {exc.strerror}") from exc
+
+
 def start_run(out_dir: Path, cfg: ExperimentConfig):
     """Make the run directory, write config.yaml; returns a checkpoint's path."""
-    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir / "checkpoints")
     save_config(out_dir / "config.yaml", cfg)
     return lambda generation: out_dir / "checkpoints" / f"runner_gen{generation}.npz"
 
@@ -123,10 +131,7 @@ def write_probe(out_dir: Path, layer, probe):
     """``traces_layer<l>.csv`` (the input column, then each unit's output and,
     for recurrent units, state) and ``divergence_layer<l>.json`` of a
     ``harness.LayerProbe``; returns the CSV's path."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise EvoUnitsError(f"cannot make directory {out_dir}: {exc.strerror}") from exc
+    make_dir(out_dir)
     planes = [probe.outputs] if probe.states is None else [probe.outputs, probe.states]
     names = ["out", "state"][: len(planes)]
     header = ["input"] + [f"{name}_{i}" for i in range(probe.outputs.shape[1]) for name in names]

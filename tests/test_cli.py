@@ -470,18 +470,22 @@ class TestOutputsAreAtomic:
           "{tmp}/missing/t.csv"], "{tmp}/missing/t.csv"),
         (["probe", "--layer", "2", "--out-dir", "{tmp}/a-file"], "{tmp}/a-file"),
         (["eval", "--episodes", "2", "--out", "{tmp}/a-dir"], "{tmp}/a-dir"),
-    ], ids=["eval-out", "trajectory", "probe-out-dir", "eval-out-is-a-dir"])
+        (["train", "--preset", "cartpole-simple", "--out-dir", "{tmp}/a-file"], "{tmp}/a-file"),
+    ], ids=["eval-out", "trajectory", "probe-out-dir", "eval-out-is-a-dir", "train-out-dir"])
     def test_unwritable_path_is_an_error_naming_it(self, tmp_path, capsys, argv, named):
         # The error names the path given, not the file written beside it,
-        # and leaves no such file behind.
+        # and the command writes nothing: not that file, nor an eval --out
+        # before its --dump-trajectory fails.
         (tmp_path / "a-file").write_text("")
         (tmp_path / "a-dir").mkdir()
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        assert main(argv + ["--champion", str(REFERENCE_CHAMPION)]) == 2
+        if argv[0] != "train":
+            argv += ["--champion", str(REFERENCE_CHAMPION)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named.format(tmp=tmp_path) in err
         assert ".tmp" not in err
-        assert not list(tmp_path.rglob("*.tmp"))
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["a-dir", "a-file"]
 
     def test_failed_genomes_crash_mid_write_keeps_previous(self, tmp_path, monkeypatch):
         def fails(self, genomes, generation):

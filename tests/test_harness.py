@@ -151,8 +151,8 @@ class TestPopulationEvaluator:
         assert network.worker_splits(a, 7, 2) == [0, 3, 7]
 
     def test_two_workers_without_buckets(self, monkeypatch):
-        # Where a product's rows are not stable, each row runs at its place
-        # in its 128-row block, and the pool splits at whole blocks to keep it.
+        # Where a product's rows are not stable, each row runs at its batch
+        # index in its 128-row block, in whichever even split it falls.
         monkeypatch.setattr(network, "rows_stable", lambda *shape: False)
         a = rec_arch()
         env = SwingUpParams(max_steps=200, reset_noise=1.0)
@@ -161,22 +161,18 @@ class TestPopulationEvaluator:
         pooled = evaluate_population(a, env, genomes, [3, 4], workers=2)
         assert np.array_equal(pooled, serial)
 
-    def test_idle_workers_logged_once(self, monkeypatch, caplog):
-        # A 128-candidate CMA-ES generation is one block, so where rows are
-        # not stable it runs in one process whatever --workers asks; that
-        # is logged, once per process, and the fitness is the 1-worker one.
+    def test_one_block_splits_between_workers(self, monkeypatch):
+        # A 128-candidate CMA-ES generation is one block; where rows are not
+        # stable, two workers still take half of it each, and the fitness is
+        # the 1-worker one.
         monkeypatch.setattr(network, "rows_stable", lambda *shape: False)
-        monkeypatch.setattr(network, "_idle_workers_logged", False)
         a = rec_arch()
         env = SwingUpParams(max_steps=50)
         genomes = np.random.default_rng(10).normal(0, 1, (128, count_parameters(a)))
+        assert network.worker_splits(a, 128, 2) == [0, 64, 128]
         serial = evaluate_population(a, env, genomes, [3], workers=1)
-        assert not caplog.records
-        with caplog.at_level("WARNING", logger="evounits.network"):
-            pooled = [evaluate_population(a, env, genomes, [3], workers=2) for _ in range(2)]
-        [record] = caplog.records
-        assert "2 workers requested" in record.message and "[0, 128]" in record.message
-        assert all(np.array_equal(p, serial) for p in pooled)
+        pooled = evaluate_population(a, env, genomes, [3], workers=2)
+        assert np.array_equal(pooled, serial)
 
     def test_pool_workers_inherit_every_table(self, monkeypatch, tmp_path):
         # The parent checks every product's shape to choose the split, here
@@ -206,8 +202,8 @@ class TestPopulationEvaluator:
         assert network.worker_splits(rec_arch(), 300, 1) == [0, 300]
 
     @pytest.mark.parametrize("movable", [True, False])
-    def test_workers_split_evenly_or_at_blocks(self, monkeypatch, movable):
-        sizes = []
+    def test_workers_split_evenly(self, monkeypatch, movable):
+        sizes, firsts = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -219,23 +215,22 @@ class TestPopulationEvaluator:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, splits):
-                splits = list(splits)
+            def map(self, fn, splits, first_rows):
+                splits, first_rows = list(splits), list(first_rows)
                 sizes.append([len(g) for g in splits])
-                return map(fn, splits)
+                firsts.append(first_rows)
+                return map(fn, splits, first_rows)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        # Every shape's rows are stable, or none are and the split falls at blocks.
+        # Every shape's rows are stable, or none are: the split is even either way.
         monkeypatch.setattr(network, "rows_stable", lambda *shape: movable)
         a = rec_arch()
         env = SwingUpParams(max_steps=20)
         for n, workers in ((300, 2), (300, 4), (100, 2)):
             genomes = np.random.default_rng(10).normal(0, 1, (n, count_parameters(a)))
             evaluate_population(a, env, genomes, [3], workers=workers)
-        if movable:
-            assert sizes == [[150, 150], [75, 75, 75, 75], [50, 50]]
-        else:
-            assert sizes == [[128, 172], [128, 128, 44]]
+        assert sizes == [[150, 150], [75, 75, 75, 75], [50, 50]]
+        assert firsts == [[0, 150], [0, 75, 150, 225], [0, 50]]
 
 
 def scalar_sweep(unit, inputs):

@@ -5,9 +5,10 @@
 filling the last. Once rows have ended, live rows sit at other places than
 their own; that keeps their bits where a check in this process found the
 shape's rows stable (``network.rows_stable``). Where it does not, each
-128-row block of the batch runs with its live rows at their own places.
+128-row block of the batch runs with its live rows at their own places,
+and a worker's split places its rows by their population index.
 These tests check the rule against the full-batch oracle, the check's
-promise on data it never saw, and the fallback.
+promise on data it never saw, and the fallback, in one process and in two.
 """
 
 import functools
@@ -30,9 +31,8 @@ from test_rollout_golden import CHAMPION, ENV, NOISY_ENV, SIZES, staggered_popul
 
 ARCH = Architecture(SIZES, NeuronMode.RECURRENT, weight_seed=1)
 
-# Prints the core name of the OpenBLAS bundled with numpy, then the row
-# check of the 128 -> 64 shape in float32 and in float64.
-PROBE_BY_DTYPE = """
+# Prints the core name of the OpenBLAS bundled with numpy.
+CORENAME = """
 import ctypes, glob
 from pathlib import Path
 import numpy as np
@@ -56,7 +56,30 @@ corename = openblas_symbol("get_corename")
 if corename is not None:
     corename.argtypes, corename.restype = [], ctypes.c_char_p
 print(corename().decode() if corename is not None else "unknown")
+"""
+
+# Then the row check of the 128 -> 64 shape in float32 and in float64.
+PROBE_BY_DTYPE = CORENAME + """
 print(network.rows_stable(128, 64, np.float32), network.rows_stable(128, 64, np.float64))
+"""
+
+# Then, for a float32 policy: the row check of the 128 -> 64 shape, the
+# split of 128 perturbed reference-champion candidates between 2 workers,
+# and whether their pooled fitness equals the 1-worker one bitwise.
+SPLIT_AT_FLOAT32 = CORENAME + f"""
+from evounits.cartpole import SwingUpParams
+from evounits.harness import evaluate_population
+from evounits.rundir import load_champion
+
+network.POLICY_DTYPE = np.float32
+arch, champion, _ = load_champion({str(CHAMPION)!r})
+genomes = champion + np.random.default_rng(0).normal(0, 0.05, (128, champion.size))
+env = SwingUpParams(max_steps=160, reset_noise=1.0)
+serial = evaluate_population(arch, env, genomes, [3], workers=1)
+pooled = evaluate_population(arch, env, genomes, [3], workers=2)
+print(network.rows_stable(128, 64, np.float32))
+print(network.worker_splits(arch, 128, 2))
+print(np.array_equal(pooled, serial))
 """
 
 
@@ -158,14 +181,28 @@ def test_batch_of_65_with_ended_rows(checks):
     assert set(checks) == {(5, 128), (128, 64), (64, 1)}
 
 
+def on_haswell(script):
+    """The lines ``script`` prints after the core name, run on the Haswell
+    kernel at one thread; skips where OpenBLAS runs another kernel."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(network.__file__).resolve().parents[1]))
+    lines = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout.split("\n")
+    if lines[0].strip() != "Haswell":
+        pytest.skip(f"OpenBLAS runs the {lines[0].strip()} kernel, not Haswell")
+    return lines[1:]
+
+
 def test_check_runs_in_the_asked_dtype():
     # On the Haswell kernel at one thread, the 128 -> 64 shape keeps its
     # rows' bits at float64 but not at float32, so the check's answer is
     # only good for the dtype it multiplied in.
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(network.__file__).resolve().parents[1]))
-    lines = subprocess.run([sys.executable, "-c", PROBE_BY_DTYPE], env=env, check=True,
-                           capture_output=True, text=True).stdout.split("\n")
-    if lines[0].strip() != "Haswell":
-        pytest.skip(f"OpenBLAS runs the {lines[0].strip()} kernel, not Haswell")
-    assert lines[1].split() == ["False", "True"]
+    assert on_haswell(PROBE_BY_DTYPE)[0].split() == ["False", "True"]
+
+
+def test_unstable_rows_split_between_workers():
+    # A float32 policy on the Haswell kernel fails the row check for
+    # 128 -> 64, yet 2 workers take half of a 128-candidate generation
+    # each, the second half's rows at their own batch indices in the
+    # block path, and the fitness is the 1-worker one.
+    assert on_haswell(SPLIT_AT_FLOAT32)[:3] == ["False", "[0, 64, 128]", "True"]
